@@ -8,12 +8,12 @@ Three modes:
   RecursiveDoubling job), with the leaf-pair kernel's speedup over the
   per-node-pair baseline.
 * ``--e2e [n_jobs]`` — the PR 4 end-to-end trace replay: a seeded
-  synthetic workload on the Theta shape, scheduled twice per
-  allocator — once on the optimized default engine, once on the
-  pre-change engine (``legacy_mode()`` + ``force_full_pass=True``, the
-  exact code paths PR 4 replaced) — recording events/sec, jobs/sec,
-  pass counts (full/extended/skipped), the end-to-end speedup, and a
-  bit-identity check of the two schedules. Writes ``BENCH_PR4.json``.
+  synthetic workload on the Theta shape, scheduled once per allocator,
+  recording events/sec, jobs/sec and pass counts
+  (full/extended/skipped). Writes ``BENCH_PR4.json``. The committed
+  file's ``legacy`` section and speedup criterion (the pre-change
+  engine PR 4 replaced) are history: that engine no longer exists to
+  re-measure.
 * ``--ladder`` — the PR 9 scale ladder: 100k/1M/10M-job rungs, each run
   in a *fresh subprocess* so peak RSS (a process-lifetime high-water
   mark) is the rung's own. Streaming rungs feed the engine from
@@ -26,7 +26,7 @@ Three modes:
   list construction, matching the PR 4 replay semantics — the reported
   streaming-vs-materialized speedup is therefore conservative. Also
   records a shared-memory sweep section (serial vs pooled workers with
-  and without topology sharing) and a streaming/materialized/legacy
+  and without topology sharing) and a streaming/materialized
   bit-identity smoke. Writes ``BENCH_PR9.json``.
 
 Usage::
@@ -133,36 +133,27 @@ def e2e_jobs(n_jobs: int):
     )
 
 
-def replay(jobs, allocator: str, *, legacy: bool) -> dict:
-    """One full simulation; returns timing + perf counters + records."""
-    from repro._perfflags import legacy_mode
-    from repro.perf import PerfRecorder, collecting
+def replay(jobs, allocator: str) -> dict:
+    """One full simulation; returns its timing and perf counters."""
+    from repro.obs import PerfRecorder, collecting
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
     clear_leaf_pair_cache()
-    cfg = EngineConfig(policy="backfill", force_full_pass=legacy)
-    engine = SchedulerEngine(theta_like(), allocator, cfg)
+    engine = SchedulerEngine(theta_like(), allocator, EngineConfig(policy="backfill"))
     recorder = PerfRecorder()
     t0 = time.perf_counter()
     with collecting(recorder):
-        if legacy:
-            with legacy_mode():
-                result = engine.run(jobs)
-        else:
-            result = engine.run(jobs)
+        engine.run(jobs)
     seconds = time.perf_counter() - t0
     counters = recorder.counters
     return {
-        "records": result.records,
-        "stats": {
-            "seconds": seconds,
-            "jobs_per_sec": len(jobs) / seconds,
-            "events_per_sec": counters.get("engine.events", 0) / seconds,
-            "passes_full": int(counters.get("engine.passes_full", 0)),
-            "passes_incremental": int(counters.get("engine.passes_incremental", 0)),
-            "passes_skipped": int(counters.get("engine.passes_skipped", 0)),
-        },
+        "seconds": seconds,
+        "jobs_per_sec": len(jobs) / seconds,
+        "events_per_sec": counters.get("engine.events", 0) / seconds,
+        "passes_full": int(counters.get("engine.passes_full", 0)),
+        "passes_incremental": int(counters.get("engine.passes_incremental", 0)),
+        "passes_skipped": int(counters.get("engine.passes_skipped", 0)),
     }
 
 
@@ -183,25 +174,10 @@ def e2e_section(n_jobs: int, allocators=("adaptive", "greedy")) -> dict:
     jobs = e2e_jobs(n_jobs)
     section: dict = {"n_jobs": n_jobs}
     for allocator in allocators:
-        print(f"  replaying {n_jobs} jobs, backfill/{allocator} (optimized) ...")
-        new = replay(jobs, allocator, legacy=False)
-        print(f"  replaying {n_jobs} jobs, backfill/{allocator} (pre-change) ...")
-        old = replay(jobs, allocator, legacy=True)
-        identical = records_identical(new["records"], old["records"])
-        section[allocator] = {
-            "new": new["stats"],
-            "legacy": old["stats"],
-            "speedup_jobs_per_sec": (
-                new["stats"]["jobs_per_sec"] / old["stats"]["jobs_per_sec"]
-            ),
-            "bit_identical": identical,
-        }
-        print(
-            f"    {allocator}: {new['stats']['jobs_per_sec']:.0f} jobs/s vs "
-            f"{old['stats']['jobs_per_sec']:.0f} jobs/s -> "
-            f"{section[allocator]['speedup_jobs_per_sec']:.2f}x "
-            f"(bit-identical: {identical})"
-        )
+        print(f"  replaying {n_jobs} jobs, backfill/{allocator} ...")
+        stats = replay(jobs, allocator)
+        section[allocator] = {"new": stats}
+        print(f"    {allocator}: {stats['jobs_per_sec']:.0f} jobs/s")
     return section
 
 
@@ -221,7 +197,7 @@ def main_e2e(argv) -> int:
             "platform": platform.platform(),
         },
         "workload": {
-            "generator": "large_trace",
+            "generator": "stream_trace",
             "topology": "theta_like",
             "policy": "backfill",
             "percent_comm": 90.0,
@@ -231,14 +207,9 @@ def main_e2e(argv) -> int:
         "e2e": full,
         "smoke": smoke,
         "criteria": {
-            "adaptive_speedup_jobs_per_sec": adaptive["speedup_jobs_per_sec"],
-            "adaptive_speedup_target": 5.0,
             "adaptive_within_2x_of_greedy": (
                 adaptive["new"]["jobs_per_sec"] * 2.0
                 >= greedy["new"]["jobs_per_sec"]
-            ),
-            "bit_identical": all(
-                full[a]["bit_identical"] for a in ("adaptive", "greedy")
             ),
         },
     }
@@ -270,7 +241,7 @@ def run_ladder_rung(spec: dict) -> dict:
     snapshot — the same counters/derived values the metrics registry
     exports — not ad-hoc ``resource`` calls.
     """
-    from repro.perf import PerfRecorder, collecting
+    from repro.obs import PerfRecorder, collecting
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
@@ -344,34 +315,25 @@ def spawn_rung(spec: dict) -> dict:
 
 
 def ladder_identity_smoke(n_jobs: int = 3_000) -> dict:
-    """Streaming == materialized == pre-change engine on the ladder profile."""
-    from repro._perfflags import legacy_mode
+    """Streaming == materialized on the ladder profile."""
     from repro.scheduler.engine import EngineConfig, SchedulerEngine
     from repro.topology import theta_like
 
     jobs = list(ladder_stream(n_jobs))
 
-    def run(*, stream: bool, legacy: bool):
+    def engine():
         clear_leaf_pair_cache()
-        cfg = EngineConfig(policy=LADDER_POLICY, force_full_pass=legacy)
-        engine = SchedulerEngine(theta_like(), LADDER_ALLOCATOR, cfg)
-        if stream:
-            records = []
-            engine.run(stream=iter(jobs), record_sink=records.append)
-            records.sort(key=lambda r: r.job.job_id)
-            return records
-        if legacy:
-            with legacy_mode():
-                return engine.run(jobs).records
-        return engine.run(jobs).records
+        return SchedulerEngine(
+            theta_like(), LADDER_ALLOCATOR, EngineConfig(policy=LADDER_POLICY)
+        )
 
-    streaming = run(stream=True, legacy=False)
-    materialized = run(stream=False, legacy=False)
-    legacy = run(stream=False, legacy=True)
+    streaming = []
+    engine().run(stream=iter(jobs), record_sink=streaming.append)
+    streaming.sort(key=lambda r: r.job.job_id)
+    materialized = engine().run(jobs).records
     return {
         "n_jobs": n_jobs,
         "streaming_vs_materialized": records_identical(streaming, materialized),
-        "materialized_vs_legacy": records_identical(materialized, legacy),
     }
 
 
@@ -426,7 +388,7 @@ def main_ladder(argv) -> int:
             flush=True,
         )
 
-    print("bit-identity smoke (streaming vs materialized vs pre-change) ...")
+    print("bit-identity smoke (streaming vs materialized) ...")
     identity = ladder_identity_smoke()
     print(f"  {identity}")
     workers = ladder_workers_section()
@@ -450,10 +412,7 @@ def main_ladder(argv) -> int:
         "speedup_vs_pr4_path_at_1m": speedup,
         "speedup_vs_pr4_path_target": 1.3,
         "speedup_vs_pr4_path_pass": bool(speedup >= 1.3),
-        "bit_identical": bool(
-            identity["streaming_vs_materialized"]
-            and identity["materialized_vs_legacy"]
-        ),
+        "bit_identical": bool(identity["streaming_vs_materialized"]),
         "workers_rows_identical": workers["rows_identical"],
     }
     snapshot = {

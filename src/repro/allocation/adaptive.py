@@ -21,8 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import perf
-from .._perfflags import is_legacy
+from ..obs import runtime as obs_runtime
 from ..cluster.job import CommComponent, Job, JobKind
 from ..cluster.state import ClusterState
 from ..cost.model import CostModel
@@ -81,8 +80,8 @@ class AdaptiveAllocator(Allocator):
 
     def _candidate_cost(self, state: ClusterState, job: Job, nodes: np.ndarray) -> float:
         """Fraction-weighted Eq. 6 cost of ``nodes`` with the job applied."""
-        with perf.timer("adaptive.pricing"):
-            view = state.comm_overlay(nodes, job.kind, validate=is_legacy())
+        with obs_runtime.timer("adaptive.pricing"):
+            view = state.comm_overlay(nodes, job.kind, validate=False)
             components = job.comm or (CommComponent(self.probe_pattern, 1.0),)
             return sum(
                 comp.fraction * self.cost_model.allocation_cost(view, nodes, comp.pattern)
@@ -98,24 +97,20 @@ class AdaptiveAllocator(Allocator):
         vector — together with the overlay-based pricing this is what
         closed the ~9x adaptive-vs-greedy gap BENCH_PR1 exposed.
         """
-        if is_legacy():
-            greedy_nodes = self._greedy.allocate(state, job)
-            balanced_nodes = self._balanced.allocate(state, job)
-        else:
-            self._greedy.precheck(state, job)
-            switch = find_lowest_level_switch(state, job.nodes)
-            if switch is None:
-                raise AllocationError(
-                    f"no switch with {job.nodes} free nodes for job {job.job_id}"
-                )
-            greedy_nodes = self._greedy.postcheck(
-                job, self._greedy.select_under(state, job, switch)
+        self._greedy.precheck(state, job)
+        switch = find_lowest_level_switch(state, job.nodes)
+        if switch is None:
+            raise AllocationError(
+                f"no switch with {job.nodes} free nodes for job {job.job_id}"
             )
-            balanced_nodes = self._balanced.postcheck(
-                job, self._balanced.select_under(state, job, switch)
-            )
+        greedy_nodes = self._greedy.postcheck(
+            job, self._greedy.select_under(state, job, switch)
+        )
+        balanced_nodes = self._balanced.postcheck(
+            job, self._balanced.select_under(state, job, switch)
+        )
         greedy_cost = self._candidate_cost(state, job, greedy_nodes)
-        if not is_legacy() and np.array_equal(greedy_nodes, balanced_nodes):
+        if np.array_equal(greedy_nodes, balanced_nodes):
             # identical candidate -> identical cost; ties always go to
             # balanced, so the arbitration outcome is already decided
             # (common for small jobs that fit inside one leaf)

@@ -26,7 +26,6 @@ import numpy as np
 
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
-from .._perfflags import is_legacy
 from .._validation import floor_power_of_two
 from ..topology.tree import SwitchInfo
 from .base import (
@@ -104,8 +103,6 @@ def balanced_split(free_counts: np.ndarray, n_nodes: int) -> np.ndarray:
     prefix-sum take formula of :func:`ordered_takes`: greedy fill against
     capacity ``S_i`` forward, leftover free nodes in reverse.
     """
-    if is_legacy():
-        return balanced_split_reference(free_counts, n_nodes)
     free = np.asarray(free_counts, dtype=np.int64)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -163,16 +160,6 @@ class BalancedAllocator(Allocator):
 
         # compute-intensive: pack fullest leaves first, no constraint
         order = np.lexsort((leaves, free))
-        if is_legacy():
-            remaining = job.nodes
-            takes = []
-            for leaf in leaves[order]:
-                take = min(int(state.leaf_free[leaf]), remaining)
-                takes.append((int(leaf), take))
-                remaining -= take
-                if remaining == 0:
-                    break
-            return gather_nodes(state, takes)
         ordered = leaves[order]
         counts = ordered_takes(free[order], job.nodes)
         used = counts > 0

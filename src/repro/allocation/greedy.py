@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..cluster.job import Job
 from ..cluster.state import ClusterState
 from ..topology.tree import SwitchInfo
@@ -55,24 +54,6 @@ class GreedyAllocator(Allocator):
             return state.free_nodes_on_leaf(switch.leaf_lo, job.nodes)
 
         leaves = leaves_below(state, switch)
-        if is_legacy():
-            ratio = state.communication_ratio(leaves)
-            free = state.leaf_free[leaves]
-            if job.is_comm_intensive:
-                # ascending ratio; among equals prefer more free nodes
-                order = np.lexsort((leaves, -free, ratio))
-            else:
-                order = np.lexsort((leaves, free, -ratio))
-            remaining = job.nodes
-            takes = []
-            for leaf in leaves[order]:
-                take = min(int(state.leaf_free[leaf]), remaining)
-                takes.append((int(leaf), take))
-                remaining -= take
-                if remaining == 0:
-                    break
-            return gather_nodes(state, takes)
-
         ratio = state.communication_ratio_cached()[leaves]
         free = state.leaf_free[leaves]
         if job.is_comm_intensive:

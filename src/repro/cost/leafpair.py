@@ -32,10 +32,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .._perfflags import is_legacy
 from ..patterns.base import CommunicationPattern
 from .contention import ContentionModel
-from .kernels import kernel_active, segment_worst
 
 __all__ = ["leaf_pair_steps", "leaf_pair_cost", "clear_leaf_pair_cache"]
 
@@ -51,10 +49,7 @@ _LEAF_STEP_CACHE_MAX = 128
 #: but that same cardinality means a long trace touches tens of
 #: thousands of keys, and a small cap thrashes. Entries are a few KB
 #: (segment arrays over at most min(P, L^2) leaf pairs), so a much
-#: larger cap than the per-step cache costs tens of MB, not more. The
-#: per-step cache keeps its original cap: it also backs the legacy
-#: evaluation path, whose behaviour benchmarks use as the pre-change
-#: baseline.
+#: larger cap than the per-step cache costs tens of MB, not more.
 _LEAF_FLAT_CACHE: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
 _LEAF_FLAT_CACHE_MAX = 8192
 
@@ -201,11 +196,11 @@ def _leaf_pair_flat(
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]]:
     """Concatenated ``(ula, ulb, segment offsets, step index per segment)``.
 
-    The per-step evaluation in :func:`leaf_pair_cost` launches ~15 numpy
-    kernels per step on arrays of a few dozen pairs — call overhead, not
-    arithmetic, dominates. Flattening every non-empty step into one pair
-    array lets the whole cost evaluate in a single batch with a
-    ``maximum.reduceat`` per-segment max. Returns ``None`` when no step
+    A per-step evaluation launches ~15 numpy kernels per step on arrays
+    of a few dozen pairs — call overhead, not arithmetic, dominates.
+    Flattening every non-empty step into one pair array lets the whole
+    cost evaluate in a single batch with a ``maximum.reduceat``
+    per-segment max. Returns ``None`` when no step
     carries an inter-node pair (cost 0). Cached like the per-step form.
 
     For unique-node allocations the build itself is one vectorized
@@ -306,75 +301,31 @@ def leaf_pair_cost(
     share = view.leaf_comm_share()
     comm = view.leaf_comm
     sizes = topo.leaf_sizes
-    if not is_legacy():
-        flat = _leaf_pair_flat(
-            pattern, steps, node_arr, leaf_assign, topo.n_leaves, unique_nodes
-        )
-        if flat is None:
-            return 0.0
-        ula, ulb, offsets, seg_idx = flat
-        lvl = lca_levels[ula, ulb]
-        if kernel_active():
-            # compiled (or mirrored) segment kernel: same float64
-            # operations in the same order, so bit-identical output
-            worst = segment_worst(
-                ula,
-                ulb,
-                lvl,
-                share,
-                comm,
-                sizes,
-                contention.uplink_discount,
-                contention.per_level,
-                offsets,
-            )
-        else:
-            share_a = share[ula]
-            share_b = share[ulb]
-            if contention.per_level:
-                weight = contention.shared_weight(lvl)
-            else:
-                weight = contention.uplink_discount
-            # identical elementwise arithmetic to the per-step loop
-            # below; reduceat takes each segment's exact max, and the
-            # final accumulation walks segments in the same step order,
-            # so the result is bit-identical to the legacy evaluation.
-            cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
-                sizes[ula] + sizes[ulb]
-            )
-            c = np.where(ula == ulb, share_a, cross)
-            worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
-        total = 0.0
-        for k, i in enumerate(seg_idx):
-            step = steps[i]
-            step_weight = step.msize if weight_by_msize else 1.0
-            total += float(worst[k]) * step_weight * step.repeat
-        return total
-    per_step = leaf_pair_steps(
+    flat = _leaf_pair_flat(
         pattern, steps, node_arr, leaf_assign, topo.n_leaves, unique_nodes
     )
+    if flat is None:
+        return 0.0
+    ula, ulb, offsets, seg_idx = flat
+    lvl = lca_levels[ula, ulb]
+    share_a = share[ula]
+    share_b = share[ulb]
+    if contention.per_level:
+        weight = contention.shared_weight(lvl)
+    else:
+        weight = contention.uplink_discount
+    # mirror contention_factor() operation-for-operation; reduceat takes
+    # each segment's exact max, and the final accumulation walks
+    # segments in step order, so the result is bit-identical to a
+    # per-step evaluation of the same pairs.
+    cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
+        sizes[ula] + sizes[ulb]
+    )
+    c = np.where(ula == ulb, share_a, cross)
+    worst = np.maximum.reduceat(2 * lvl * (1.0 + c), offsets)
     total = 0.0
-    for step, meta in zip(steps, per_step):
-        if meta is None:
-            continue
-        ula, ulb = meta
-        if ula.size == 0:  # every pair was intra-node: the step is free
-            continue
-        lvl = lca_levels[ula, ulb]
-        share_a = share[ula]
-        share_b = share[ulb]
-        if contention.per_level:
-            weight = contention.shared_weight(lvl)
-        else:
-            weight = contention.uplink_discount
-        # mirror contention_factor() operation-for-operation so the two
-        # paths agree bitwise
-        cross = share_a + share_b + weight * (comm[ula] + comm[ulb]) / (
-            sizes[ula] + sizes[ulb]
-        )
-        c = np.where(ula == ulb, share_a, cross)
-        d = 2 * lvl
-        worst = float((d * (1.0 + c)).max())
+    for k, i in enumerate(seg_idx):
+        step = steps[i]
         step_weight = step.msize if weight_by_msize else 1.0
-        total += worst * step_weight * step.repeat
+        total += float(worst[k]) * step_weight * step.repeat
     return total

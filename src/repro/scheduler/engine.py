@@ -45,11 +45,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 
 import numpy as np
 
-from .. import perf
 from ..obs import runtime as obs_runtime
 from ..obs.progress import ProgressReporter
 from ..obs.runtime import PerfRecorder
-from .._perfflags import is_legacy
 from ..allocation.base import Allocator
 from ..allocation.default_slurm import DefaultSlurmAllocator
 from ..allocation.registry import get_allocator
@@ -182,8 +180,8 @@ class EngineConfig:
         ``AssertionError``. O(full pass) per event — CI and debugging
         only.
     collect_perf:
-        Install a :mod:`repro.perf` recorder around the run and attach
-        its report as ``SimulationResult.perf``.
+        Install a :class:`~repro.obs.runtime.PerfRecorder` around the
+        run and attach its report as ``SimulationResult.perf``.
     validate_invariants:
         ``0`` (off) or N: run the :mod:`repro.validate` invariant
         checker — conservation, double-allocation, heap/running-set
@@ -342,7 +340,7 @@ class _RunState:
     #: ambient recorder was installed. Lives on the run state (not the
     #: engine) so checkpoints carry it and a resumed ``--perf`` run
     #: reports whole-run counters, not just the post-resume tail.
-    #: Ambient recorders (installed by callers via ``perf.collecting``)
+    #: Ambient recorders (installed by callers via ``obs.collecting``)
     #: are never checkpointed: they may hold counts from outside this
     #: run, and keeping them out preserves byte-stable checkpoints for
     #: untraced runs.
@@ -527,10 +525,10 @@ class SchedulerEngine:
         checkpoints (see :class:`_RunState`) — so the report attached
         to ``SimulationResult.perf`` always covers the whole run.
         """
-        if self.config.collect_perf and perf.active() is None:
+        if self.config.collect_perf and obs_runtime.active() is None:
             recorder = rs.perf if rs.perf is not None else PerfRecorder()
             rs.perf = recorder
-            with perf.collecting(recorder):
+            with obs_runtime.collecting(recorder):
                 result = self._drive(
                     rs, checkpoint_every, checkpoint_path, stop_after, interrupt
                 )
@@ -635,8 +633,7 @@ class SchedulerEngine:
             # costs one counter update + one cache invalidation instead
             # of one per job. The sets are disjoint and nothing reads
             # the state between the releases, so the result is
-            # bit-identical to sequential release (legacy mode keeps the
-            # sequential path as the reference).
+            # bit-identical to sequential release.
             n_finish = 0
             finals: List[_Running] = []
             for event in batch:
@@ -648,16 +645,15 @@ class SchedulerEngine:
                     continue  # stale: this run was interrupted by a fault
                 finals.append(finished)
             if finals:
-                if len(finals) == 1 or is_legacy():
-                    for finished in finals:
-                        state.release(finished.job.job_id)
+                if len(finals) == 1:
+                    state.release(finals[0].job.job_id)
                 else:
                     state.release_many([f.job.job_id for f in finals])
                 for finished in finals:
                     del running[finished.job.job_id]
                     rs.views.remove(finished.job.job_id)
                     book = books.get(finished.job.job_id)
-                    perf.count("engine.jobs_finished")
+                    obs_runtime.count("engine.jobs_finished")
                     self._emit_record(
                         rs,
                         JobRecord(
@@ -686,8 +682,8 @@ class SchedulerEngine:
                     queue.append(stream.take())
                     rs.queue_rev += 1
                     arrivals += 1
-            perf.count("engine.events", len(batch) + arrivals)
-            perf.count("engine.batches")
+            obs_runtime.count("engine.events", len(batch) + arrivals)
+            obs_runtime.count("engine.batches")
             self._schedule_pass(now, rs)
             if self.config.validate_state:
                 state.validate()
@@ -854,8 +850,8 @@ class SchedulerEngine:
     def _write_checkpoint(
         self, path: Union[str, "os.PathLike", CheckpointStore]
     ) -> None:
-        perf.count("engine.checkpoints_written")
-        with perf.timer("engine.checkpoint_write"):
+        obs_runtime.count("engine.checkpoints_written")
+        with obs_runtime.timer("engine.checkpoint_write"):
             if isinstance(path, CheckpointStore):
                 path.write(self.snapshot())
             else:
@@ -1002,7 +998,7 @@ class SchedulerEngine:
         )
         nodes = np.asarray(fault.nodes, dtype=np.int64)
         self.last_stats.faults_injected += 1
-        perf.count("engine.faults_injected")
+        obs_runtime.count("engine.faults_injected")
         for job_id in state.jobs_on(nodes):
             entry = running.pop(job_id, None)
             if entry is None:
@@ -1014,7 +1010,7 @@ class SchedulerEngine:
             rs.views.remove(job_id)
             book = books.setdefault(job_id, InterruptionBook())
             self.last_stats.jobs_interrupted += 1
-            perf.count("engine.jobs_interrupted")
+            obs_runtime.count("engine.jobs_interrupted")
             requeued = book.interrupt(
                 cfg.interrupt_policy,
                 start_time=entry.start_time,
@@ -1025,12 +1021,12 @@ class SchedulerEngine:
             )
             if requeued:
                 self.last_stats.jobs_requeued += 1
-                perf.count("engine.jobs_requeued")
+                obs_runtime.count("engine.jobs_requeued")
                 queue.append(entry.job)
                 rs.queue_rev += 1
             else:
                 self.last_stats.jobs_failed += 1
-                perf.count("engine.jobs_failed")
+                obs_runtime.count("engine.jobs_failed")
                 self._emit_record(
                     rs,
                     JobRecord(
@@ -1067,14 +1063,14 @@ class SchedulerEngine:
             # carried facts evaluate just the appended suffix.
             if rs.clean_queue_rev == rs.queue_rev:
                 self.last_stats.schedule_passes_skipped += 1
-                perf.count("engine.passes_skipped")
+                obs_runtime.count("engine.passes_skipped")
                 if cfg.verify_incremental:
                     self._verify_no_picks(now, rs, "skipped")
                 return
             if rs.carry is not None:
                 self.last_stats.schedule_passes_incremental += 1
-                perf.count("engine.passes_incremental")
-                with perf.timer("engine.schedule_pass"):
+                obs_runtime.count("engine.passes_incremental")
+                with obs_runtime.timer("engine.schedule_pass"):
                     picks, carry = policy.extend_pass(now, queue, rs.views, rs.carry)
                 if cfg.verify_incremental:
                     self._verify_picks(now, rs, picks, "extended")
@@ -1087,10 +1083,10 @@ class SchedulerEngine:
                 return
 
         self.last_stats.schedule_passes += 1
-        perf.count("engine.passes_full")
+        obs_runtime.count("engine.passes_full")
         free = state.total_free
         if incremental_ok:
-            with perf.timer("engine.schedule_pass"):
+            with obs_runtime.timer("engine.schedule_pass"):
                 picks, carry = policy.begin_pass(now, queue, free, rs.views)
             if not picks:
                 rs.carry = carry
@@ -1106,7 +1102,7 @@ class SchedulerEngine:
                 RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
                 for r in rs.running.values()
             ]
-            with perf.timer("engine.schedule_pass"):
+            with obs_runtime.timer("engine.schedule_pass"):
                 picks = policy.select_startable(now, queue, free, views)
             if not picks:
                 return
@@ -1189,28 +1185,28 @@ class SchedulerEngine:
         lockstep with ``running`` when given.
         """
         cfg = self.config
-        perf.count("engine.jobs_started")
+        obs_runtime.count("engine.jobs_started")
         needs_counterfactual = (
             job.is_comm_intensive and self.allocator.name != self._default.name
         )
         # Both allocators read the same pre-allocation state (neither
         # mutates it); the counterfactual is captured as a cheap per-leaf
         # overlay instead of an O(n_nodes) state copy.
-        with perf.timer("engine.allocator"):
+        with obs_runtime.timer("engine.allocator"):
             default_nodes = (
                 self._default.allocate(state, job) if needs_counterfactual else None
             )
             nodes = self.allocator.allocate(state, job)
-        with perf.timer("engine.counterfactual"):
+        with obs_runtime.timer("engine.counterfactual"):
             # the node set came straight out of the default allocator
             # against this same state, so skip the overlay's validation
             default_view = (
-                state.comm_overlay(default_nodes, job.kind, validate=is_legacy())
+                state.comm_overlay(default_nodes, job.kind, validate=False)
                 if needs_counterfactual
                 else None
             )
-        aware: Optional[Dict] = None
-        if job.is_comm_intensive and not is_legacy():
+        aware: Dict = {}
+        if job.is_comm_intensive:
             # Price the chosen allocation on a pre-allocation overlay:
             # its per-leaf counters equal the post-allocation state's,
             # so the costs are bit-identical — but pricing *before*
@@ -1230,17 +1226,10 @@ class SchedulerEngine:
         cost_default: Dict[str, float] = {}
         runtime = job.runtime
         if job.is_comm_intensive:
-            if aware is None:
-                aware = {
-                    comp.pattern: cfg.cost_model.allocation_cost(
-                        state, nodes, comp.pattern
-                    )
-                    for comp in job.comm
-                }
             if needs_counterfactual:
                 assert default_view is not None and default_nodes is not None
                 self.last_stats.counterfactual_evaluations += 1
-                if not is_legacy() and np.array_equal(default_nodes, nodes):
+                if np.array_equal(default_nodes, nodes):
                     # the job-aware allocator picked exactly the default
                     # placement — same nodes, same overlay counters,
                     # same costs, so the aware prices carry over

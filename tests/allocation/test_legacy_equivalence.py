@@ -1,20 +1,18 @@
 """Vectorized allocator fast paths agree with their legacy loops exactly.
 
 The PR 4 inner-loop vectorizations (cumsum chunk selection, batched
-switch search, one-scan node gathering, the node->job index) all sit
-behind ``repro._perfflags.is_legacy()``; flipping the flag swaps in the
-original per-leaf/per-switch Python loops. These properties pin each
-fast path to its loop on random topologies and occupancies — any
-divergence is a correctness bug, not a tuning regression, because the
-engine-level equivalence suite relies on the legacy branch *being* the
-pre-change behavior.
+switch search, one-scan node gathering, the node->job index) replaced
+per-leaf/per-switch Python loops, which survive as the test-only oracle
+in ``tests/reference.py``. These properties pin each fast path to its
+loop on random topologies and occupancies — any divergence is a
+correctness bug, not a tuning regression, because the engine-level
+equivalence suite relies on the oracle *being* the pre-change behavior.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._perfflags import legacy_mode
 from repro.allocation import allocator_names, get_allocator
 from repro.allocation.balanced import balanced_split, balanced_split_reference
 from repro.allocation.base import (
@@ -27,6 +25,7 @@ from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes
 
 from ..conftest import make_comm_job, make_compute_job
+from ..reference import gather_nodes_reference, ordered_takes_reference, reference_mode
 
 
 @st.composite
@@ -59,7 +58,7 @@ kinds = st.sampled_from(["comm", "compute"])
 @given(scenarios(), all_allocators, kinds)
 @settings(max_examples=150, deadline=None)
 def test_allocators_match_legacy_loops(scenario, name, kind):
-    """End-to-end per allocator: fast select == legacy select."""
+    """End-to-end per allocator: fast select == reference select."""
     state, request = scenario
     job = (
         make_comm_job(job_id=1, nodes=request)
@@ -67,7 +66,7 @@ def test_allocators_match_legacy_loops(scenario, name, kind):
         else make_compute_job(job_id=1, nodes=request)
     )
     fast = get_allocator(name).allocate(state, job)
-    with legacy_mode():
+    with reference_mode():
         slow = get_allocator(name).allocate(state, job)
     assert np.array_equal(fast, slow)
 
@@ -93,13 +92,10 @@ def test_switch_search_matches_reference(scenario):
 )
 @settings(max_examples=200, deadline=None)
 def test_ordered_takes_matches_fill_loop(free, n_nodes):
-    remaining = n_nodes
-    expected = []
-    for f in free:
-        take = min(f, remaining)
-        expected.append(take)
-        remaining -= take
-    assert ordered_takes(np.asarray(free), n_nodes).tolist() == expected
+    assert (
+        ordered_takes(np.asarray(free), n_nodes).tolist()
+        == ordered_takes_reference(free, n_nodes).tolist()
+    )
 
 
 @given(
@@ -137,8 +133,8 @@ def test_gather_nodes_matches_legacy(scenario, data):
         takes.append((int(leaf), take))
         remaining -= take
     fast = gather_nodes(state, takes)
-    with legacy_mode():
-        slow = gather_nodes(state, takes)
+    with reference_mode():
+        slow = gather_nodes_reference(state, takes)
     assert np.array_equal(fast, slow)
 
 
@@ -151,7 +147,7 @@ def test_jobs_on_matches_legacy_scan(scenario, data):
         st.lists(st.integers(min_value=0, max_value=n - 1), max_size=20)
     )
     fast = state.jobs_on(probe)
-    with legacy_mode():
+    with reference_mode():
         slow = state.jobs_on(probe)
     assert fast == slow
 
@@ -162,6 +158,6 @@ def test_free_nodes_on_leaf_matches_legacy(scenario):
     state, _ = scenario
     for leaf in range(state.topology.n_leaves):
         fast = state.free_nodes_on_leaf(leaf)
-        with legacy_mode():
+        with reference_mode():
             slow = state.free_nodes_on_leaf(leaf)
         assert np.array_equal(fast, slow)

@@ -9,12 +9,45 @@ has moved on.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.allocation import DefaultSlurmAllocator, allocator_names, get_allocator
 from repro.cluster import ClusterState, CommOverlay, JobKind
 from repro.cluster.state import _COST_CACHE_MAX
 from repro.cost import CostModel
-from repro.patterns import RecursiveDoubling
+from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.topology import two_level_tree
+from repro.topology.random import random_tree
+
+from ..conftest import make_comm_job, make_compute_job
+
+PRICED_PATTERNS = (RecursiveDoubling(), RecursiveHalvingVectorDoubling())
+
+
+@st.composite
+def priced_scenarios(draw):
+    """A random tree with a random compute/comm/IO occupancy, some nodes
+    DOWN, and a request the free nodes can satisfy."""
+    topo = random_tree(
+        draw(st.integers(min_value=0, max_value=500)),
+        max_children=3,
+        max_leaf_size=8,
+    )
+    state = ClusterState(topo)
+    n = topo.n_nodes
+    # per node: 0 free, 1 compute, 2 comm, 3 io, 4 down
+    marks = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
+    for job_id, kind in ((1, JobKind.COMPUTE), (2, JobKind.COMM), (3, JobKind.IO)):
+        held = [i for i, m in enumerate(marks) if m == job_id]
+        if held:
+            state.allocate(job_id, held, kind)
+    down = [i for i, m in enumerate(marks) if m == 4]
+    if down:
+        state.mark_down(down)
+    assume(state.total_free > 0)
+    request = draw(st.integers(min_value=1, max_value=min(state.total_free, 64)))
+    return state, request
 
 
 @pytest.fixture
@@ -124,18 +157,30 @@ class TestCopyIsolation:
 
 
 class TestCommOverlay:
-    def test_overlay_prices_like_copy_allocate(self, state):
-        """The cheap view must be numerically identical to the full
-        snapshot-and-allocate it replaces."""
-        model = CostModel()
-        state.allocate(1, [0, 1], JobKind.COMM)
-        nodes = np.arange(4, 8)
-        view = state.comm_overlay(nodes, JobKind.COMM)
-        trial = state.copy()
-        trial.allocate(99, nodes, JobKind.COMM)
-        assert model.allocation_cost(view, nodes, RecursiveDoubling()) == (
-            model.allocation_cost(trial, nodes, RecursiveDoubling())
+    @given(priced_scenarios(), st.sampled_from(allocator_names()),
+           st.booleans(), st.sampled_from(PRICED_PATTERNS))
+    @settings(max_examples=150, deadline=None)
+    def test_overlay_prices_like_copy_allocate(self, scenario, name, comm, pattern):
+        """The engine prices the chosen placement and the default
+        counterfactual on pre-allocation overlays (and reuses the chosen
+        prices when the two placements coincide). Each overlay price
+        must equal the full snapshot-allocate-price it replaces."""
+        state, request = scenario
+        job = (
+            make_comm_job(job_id=7, nodes=request, pattern=pattern)
+            if comm
+            else make_compute_job(job_id=7, nodes=request)
         )
+        model = CostModel()
+        chosen = get_allocator(name).allocate(state, job)
+        default = DefaultSlurmAllocator().allocate(state, job)
+        for nodes in (chosen, default):
+            view = state.comm_overlay(nodes, job.kind, validate=False)
+            trial = state.copy()
+            trial.allocate(job.job_id, nodes, job.kind)
+            assert model.allocation_cost(view, nodes, pattern) == (
+                model.allocation_cost(trial, nodes, pattern)
+            )
 
     def test_compute_overlay_adds_no_contention(self, state):
         view = state.comm_overlay([0, 1], JobKind.COMPUTE)

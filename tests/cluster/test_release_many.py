@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro._perfflags import legacy_mode
 from repro.cluster import ClusterState, JobKind
 from repro.topology import tree_from_leaf_sizes
 
@@ -41,13 +40,19 @@ def test_release_many_matches_sequential(ids):
     batched.validate()
 
 
-def test_release_many_matches_legacy_mode():
-    fast = make_state()
-    slow = make_state()
-    fast.release_many([1, 3, 5])
-    with legacy_mode():
-        slow.release_many([1, 3, 5])
-    assert counters(fast) == counters(slow)
+def test_release_many_matches_sequential_with_draining_nodes():
+    """Nodes that went DRAINING under a running job are freed offline by
+    the batch exactly as by one ``release()`` call per job."""
+    batched = make_state()
+    sequential = make_state()
+    for state in (batched, sequential):
+        state.mark_drain([1, 6, 10])
+    batched.release_many([1, 3, 5])
+    for job_id in (1, 3, 5):
+        sequential.release(job_id)
+    assert counters(batched) == counters(sequential)
+    assert batched.leaf_offline.tolist() == sequential.leaf_offline.tolist()
+    batched.validate()
 
 
 def test_release_many_empty_is_noop():
@@ -63,6 +68,17 @@ def test_release_many_unknown_id_mutates_nothing():
     with pytest.raises(KeyError):
         state.release_many([1, 99])
     assert counters(state) == before
+
+
+def test_release_many_duplicate_id_mutates_nothing():
+    state = ClusterState(tree_from_leaf_sizes([4, 4]))
+    state.allocate(1, [0, 1, 4], JobKind.COMM)
+    state.allocate(2, [2, 5], JobKind.COMPUTE)
+    before = counters(state)
+    with pytest.raises(ValueError, match="duplicate job ids"):
+        state.release_many([1, 2, 1])
+    assert counters(state) == before
+    state.validate()
 
 
 def test_release_many_returns_allocation_records():

@@ -1,23 +1,25 @@
-"""The flattened leaf-pair kernel agrees bitwise with the per-step loop.
+"""The flattened leaf-pair kernel agrees bitwise with the reference.
 
 PR 4 flattens every step's unique leaf pairs into one array and takes
-the per-step maxima with a single ``maximum.reduceat``; the original
-per-step evaluation survives behind ``is_legacy()``. Both perform the
-same elementwise arithmetic and exact maxima, so the results must be
-``==``-equal, never ``approx`` — including on rank layouts with
-repeated nodes, which take the fallback build path.
+the per-step maxima with a single ``maximum.reduceat``. Under
+``reference_mode()`` the kernel is replaced by the per-node-pair
+evaluation (:meth:`~repro.cost.model.CostModel.allocation_cost_pairwise`).
+Both perform the same elementwise arithmetic and exact maxima, so the
+results must be ``==``-equal, never ``approx`` — including on rank
+layouts with repeated nodes, which take the fallback build path.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._perfflags import legacy_mode
 from repro.cluster import ClusterState, JobKind
 from repro.cost import CostModel, clear_leaf_pair_cache
 from repro.cost.contention import ContentionModel
 from repro.patterns import get_pattern, pattern_names
 from repro.topology import tree_from_leaf_sizes
+
+from ..reference import reference_mode
 
 CONTENTION_MODELS = (
     ContentionModel(),
@@ -76,6 +78,6 @@ def test_flat_kernel_matches_legacy_per_step(
     fast = model.allocation_cost(state, node_arr, pattern)
     state._cost_cache.clear()
     clear_leaf_pair_cache()
-    with legacy_mode():
+    with reference_mode():
         slow = model.allocation_cost(state, node_arr, pattern)
     assert fast == slow

@@ -2,21 +2,22 @@
 
 Every optimization added for end-to-end throughput — incremental
 scheduling passes, vectorized allocator inner loops, the flattened
-leaf-pair kernel, overlay/cost-cache reuse — is gated behind
-``repro._perfflags``. ``legacy_mode()`` + ``force_full_pass=True``
-therefore *is* the pre-change engine, and these properties pin the
-optimized default to it byte for byte: same start/finish times, same
-node arrays, same Eq. 6 cost dicts, same serialized digest. Fault
-traces and mid-run checkpoint/resume are included because the dirty-bit
-machinery must also observe mutations that do not go through the
-scheduler (node failures, interrupted jobs, restored state).
+leaf-pair kernel, batched releases — has a loop reference in the
+test-only oracle (``tests/reference.py``). ``reference_mode()`` +
+``force_full_pass=True`` therefore runs the pre-change algorithms, and
+these properties pin the optimized default to it byte for byte: same
+start/finish times, same node arrays, same Eq. 6 cost dicts, same
+serialized digest. Fault traces and mid-run checkpoint/resume are
+included because the dirty-bit machinery must also observe mutations
+that do not go through the scheduler (node failures, interrupted jobs,
+restored state). The engine's overlay-pricing shortcuts are pinned
+separately in ``tests/cluster/test_caching.py``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._perfflags import legacy_mode
 from repro.cluster import CommComponent, Job, JobKind
 from repro.cost.leafpair import clear_leaf_pair_cache
 from repro.faults import FaultGeneratorConfig, generate_faults
@@ -24,6 +25,8 @@ from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
 from repro.scheduler.serialize import result_to_dict
 from repro.topology import tree_from_leaf_sizes
+
+from ..reference import reference_mode
 
 policies = st.sampled_from(["fifo", "backfill", "conservative"])
 allocators = st.sampled_from(["default", "greedy", "balanced", "adaptive"])
@@ -61,28 +64,28 @@ def run_fast(topo, jobs, allocator, policy, *, faults=None, config=None):
     return engine.run(jobs, faults=faults)
 
 
-def run_legacy(topo, jobs, allocator, policy, *, faults=None, config=None):
-    """The pre-change engine: no fast paths, a full pass per batch."""
+def run_reference(topo, jobs, allocator, policy, *, faults=None, config=None):
+    """The reference engine: loop references, a full pass per batch."""
     base = config or EngineConfig(policy=policy)
     cfg = EngineConfig(
         **{**base.__dict__, "force_full_pass": True}
     )
     clear_leaf_pair_cache()
     engine = SchedulerEngine(topo, allocator, cfg)
-    with legacy_mode():
+    with reference_mode():
         return engine.run(jobs, faults=faults)
 
 
-def assert_identical(fast, legacy):
-    assert len(fast.records) == len(legacy.records)
-    for a, b in zip(fast.records, legacy.records):
+def assert_identical(fast, reference):
+    assert len(fast.records) == len(reference.records)
+    for a, b in zip(fast.records, reference.records):
         assert a.job.job_id == b.job.job_id
         assert a.start_time == b.start_time
         assert a.finish_time == b.finish_time
         assert np.array_equal(a.nodes, b.nodes)
         assert a.cost_jobaware == b.cost_jobaware
         assert a.cost_default == b.cost_default
-    assert result_to_dict(fast) == result_to_dict(legacy)
+    assert result_to_dict(fast) == result_to_dict(reference)
 
 
 @given(workloads(), policies, allocators)
@@ -90,8 +93,8 @@ def assert_identical(fast, legacy):
 def test_fast_paths_match_legacy_full_pass(scenario, policy, allocator):
     topo, jobs = scenario
     fast = run_fast(topo, jobs, allocator, policy)
-    legacy = run_legacy(topo, jobs, allocator, policy)
-    assert_identical(fast, legacy)
+    reference = run_reference(topo, jobs, allocator, policy)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators,
@@ -100,7 +103,7 @@ def test_fast_paths_match_legacy_full_pass(scenario, policy, allocator):
 def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed):
     """Fault events mutate state outside the scheduler: the dirty bit
     must pick them up, and vectorized release/jobs_on must agree with
-    the legacy scans on DOWN/DRAINING nodes."""
+    the reference scans on DOWN/DRAINING nodes."""
     topo, jobs = scenario
     horizon = 1.5 * max(j.submit_time for j in jobs) + 1000.0
     faults = generate_faults(
@@ -108,8 +111,8 @@ def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed)
     )
     cfg = EngineConfig(policy=policy, interrupt_policy="requeue")
     fast = run_fast(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    legacy = run_legacy(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    assert_identical(fast, legacy)
+    reference = run_reference(topo, jobs, allocator, policy, faults=faults, config=cfg)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators,
@@ -118,7 +121,7 @@ def test_fast_paths_match_legacy_under_faults(scenario, policy, allocator, seed)
 def test_checkpoint_resume_matches_legacy(scenario, policy, allocator,
                                           stop_after, faulty):
     """Pausing mid-run discards the incremental pass/view caches; the
-    resumed engine rebuilds them and must still land on the legacy
+    resumed engine rebuilds them and must still land on the reference
     schedule exactly."""
     topo, jobs = scenario
     faults = None
@@ -138,8 +141,8 @@ def test_checkpoint_resume_matches_legacy(scenario, policy, allocator,
         fast = fresh.run(resume_from=snap)
     else:
         fast = paused  # finished before the pause point
-    legacy = run_legacy(topo, jobs, allocator, policy, faults=faults, config=cfg)
-    assert_identical(fast, legacy)
+    reference = run_reference(topo, jobs, allocator, policy, faults=faults, config=cfg)
+    assert_identical(fast, reference)
 
 
 @given(workloads(), policies, allocators)

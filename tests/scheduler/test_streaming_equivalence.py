@@ -13,13 +13,14 @@ import json
 
 import pytest
 
-from repro._perfflags import compiled_mode, legacy_mode
 from repro.cost.leafpair import clear_leaf_pair_cache
 from repro.faults import FaultGeneratorConfig, generate_faults
 from repro.scheduler.engine import EngineConfig, SchedulerEngine
 from repro.scheduler.serialize import result_to_dict
 from repro.topology import tree_from_leaf_sizes
 from repro.workloads import assign_kinds_stream, single_pattern_mix, stream_trace
+
+from ..reference import reference_mode
 
 POLICIES = ("fifo", "backfill", "conservative")
 ALLOCATORS = ("default", "greedy", "balanced", "adaptive")
@@ -48,13 +49,13 @@ def canon(result):
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
-def run_materialized(topo, jobs, allocator, policy, *, faults=None, legacy=False):
+def run_materialized(topo, jobs, allocator, policy, *, faults=None, reference=False):
     clear_leaf_pair_cache()
     engine = SchedulerEngine(topo, allocator, EngineConfig(policy=policy))
-    if legacy:
+    if reference:
         cfg = EngineConfig(policy=policy, force_full_pass=True)
         engine = SchedulerEngine(topo, allocator, cfg)
-        with legacy_mode():
+        with reference_mode():
             return engine.run(jobs, faults=faults)
     return engine.run(jobs, faults=faults)
 
@@ -72,25 +73,11 @@ def test_streaming_matches_materialized_and_legacy(policy, allocator):
     jobs = make_jobs(topo)
     materialized = canon(run_materialized(topo, jobs, allocator, policy))
     streaming = canon(run_streaming(topo, jobs, allocator, policy))
-    legacy = canon(
-        run_materialized(topo, jobs, allocator, policy, legacy=True)
+    reference = canon(
+        run_materialized(topo, jobs, allocator, policy, reference=True)
     )
     assert streaming == materialized
-    assert streaming == legacy
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("allocator", ALLOCATORS)
-def test_streaming_with_compiled_kernel_matches_legacy(policy, allocator):
-    """Every fast path at once — streaming ingestion, batched releases,
-    and the compiled-kernel dispatch (jit where numba exists, the numpy
-    mirror elsewhere) — against the pre-change engine."""
-    topo = make_topo()
-    jobs = make_jobs(topo)
-    legacy = canon(run_materialized(topo, jobs, allocator, policy, legacy=True))
-    with compiled_mode(True):
-        compiled = canon(run_streaming(topo, jobs, allocator, policy))
-    assert compiled == legacy
+    assert streaming == reference
 
 
 @pytest.mark.parametrize("policy", POLICIES)
