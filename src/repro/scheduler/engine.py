@@ -30,6 +30,10 @@ DOWN on the state, and lets the following scheduling pass route new
 work around the hole. With no faults the loop is byte-for-byte the
 pre-fault behaviour — fault handling only runs when fault events exist.
 
+The same loop runs online through a step API (:meth:`SchedulerEngine.open_run`,
+``submit``, ``inject``, ``cancel``, ``advance_to``), the substrate of
+:class:`repro.slurm.SlurmCluster`.
+
 The engine itself is crash-safe: because every source of ordering is
 deterministic (the event heap totally orders by (time, kind, seq) and
 no RNG runs inside the loop), the full mid-run state can be serialized
@@ -40,6 +44,7 @@ bit-identically to an uninterrupted one. See ``docs/resilience.md``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -226,6 +231,15 @@ class _Running:
     cost_default: Dict[str, float]
 
 
+def _require_fits(job: Job, n_nodes: int) -> None:
+    if job.nodes > n_nodes:
+        raise ValueError(
+            f"job {job.job_id} requests {job.nodes} nodes; the "
+            f"cluster has {n_nodes} — it would block "
+            "the queue forever"
+        )
+
+
 class _JobStream:
     """Lazy arrival source for streaming runs (one job of lookahead).
 
@@ -259,12 +273,7 @@ class _JobStream:
         except StopIteration:
             self._head = None
             return
-        if job.nodes > self._n_nodes:
-            raise ValueError(
-                f"job {job.job_id} requests {job.nodes} nodes; the "
-                f"cluster has {self._n_nodes} — it would block "
-                "the queue forever"
-            )
+        _require_fits(job, self._n_nodes)
         if job.submit_time < self._last_time:
             raise ValueError(
                 f"streaming jobs must arrive in non-decreasing submit "
@@ -356,6 +365,8 @@ class _RunState:
     #: Records emitted so far (== ``len(records)`` without a sink);
     #: feeds the progress reporter in sink mode.
     records_emitted: int = 0
+    #: Step API: the time the run has been advanced to (not checkpointed).
+    clock: float = 0.0
 
 
 class SchedulerEngine:
@@ -516,6 +527,7 @@ class SchedulerEngine:
         checkpoint_path: Optional[Union[str, "os.PathLike", CheckpointStore]],
         stop_after: Optional[int],
         interrupt: Optional[Callable[[], bool]],
+        until: Optional[float] = None,
     ) -> Optional[SimulationResult]:
         """Drive the loop under the engine-owned perf recorder, if any.
 
@@ -530,12 +542,14 @@ class SchedulerEngine:
             rs.perf = recorder
             with obs_runtime.collecting(recorder):
                 result = self._drive(
-                    rs, checkpoint_every, checkpoint_path, stop_after, interrupt
+                    rs, checkpoint_every, checkpoint_path, stop_after, interrupt, until
                 )
             if result is not None:
                 result.perf = recorder.snapshot()
             return result
-        return self._drive(rs, checkpoint_every, checkpoint_path, stop_after, interrupt)
+        return self._drive(
+            rs, checkpoint_every, checkpoint_path, stop_after, interrupt, until
+        )
 
     def _begin_run(
         self,
@@ -545,12 +559,7 @@ class SchedulerEngine:
     ) -> _RunState:
         seen_ids = set(r for r in ([] if initial_state is None else initial_state.running))
         for job in job_list:
-            if job.nodes > self.topology.n_nodes:
-                raise ValueError(
-                    f"job {job.job_id} requests {job.nodes} nodes; the "
-                    f"cluster has {self.topology.n_nodes} — it would block "
-                    "the queue forever"
-                )
+            _require_fits(job, self.topology.n_nodes)
             if job.job_id in seen_ids:
                 raise ValueError(f"duplicate job id {job.job_id}")
             seen_ids.add(job.job_id)
@@ -561,17 +570,7 @@ class SchedulerEngine:
         for job in job_list:
             events.push(job.submit_time, EventKind.SUBMIT, job)
         for fault in faults or ():
-            for node in fault.nodes:
-                if not 0 <= node < self.topology.n_nodes:
-                    raise ValueError(
-                        f"fault at t={fault.time} names node {node}; the "
-                        f"cluster has {self.topology.n_nodes} nodes"
-                    )
-            events.push(
-                fault.time,
-                EventKind.NODE_DOWN if fault.is_down else EventKind.NODE_UP,
-                fault,
-            )
+            self._push_fault(events, fault)
         return _RunState(
             state=state,
             events=events,
@@ -582,6 +581,19 @@ class SchedulerEngine:
             submits_left=len(job_list),
         )
 
+    def _push_fault(self, events: EventQueue, fault: FaultEvent) -> None:
+        for node in fault.nodes:
+            if not 0 <= node < self.topology.n_nodes:
+                raise ValueError(
+                    f"fault at t={fault.time} names node {node}; the "
+                    f"cluster has {self.topology.n_nodes} nodes"
+                )
+        events.push(
+            fault.time,
+            EventKind.NODE_DOWN if fault.is_down else EventKind.NODE_UP,
+            fault,
+        )
+
     def _drive(
         self,
         rs: _RunState,
@@ -589,7 +601,9 @@ class SchedulerEngine:
         checkpoint_path: Optional[Union[str, "os.PathLike", CheckpointStore]],
         stop_after: Optional[int],
         interrupt: Optional[Callable[[], bool]],
+        until: Optional[float] = None,
     ) -> Optional[SimulationResult]:
+        # ``until`` (advance_to): run batches up to it, leave the run open
         self._run_state = rs
         state, queue, running, records, books = (
             rs.state,
@@ -607,7 +621,10 @@ class SchedulerEngine:
             checker = InvariantChecker()
         events = rs.events
         stream = rs.stream
+        now = rs.clock
         while events or (stream is not None and not stream.exhausted):
+            if until is not None and events.peek().time > until:
+                break
             if interrupt is not None and interrupt():
                 if checkpoint_path is not None:
                     self._write_checkpoint(checkpoint_path)
@@ -697,7 +714,7 @@ class SchedulerEngine:
             if reporter is not None:
                 reporter.engine_batch(now, len(batch) + arrivals, rs.records_emitted)
             if stream is None:
-                if rs.submits_left == 0 and not queue and not running:
+                if until is None and rs.submits_left == 0 and not queue and not running:
                     break  # only fault events (or stale finishes) remain
                 if not events:
                     break
@@ -716,6 +733,9 @@ class SchedulerEngine:
                     self._write_checkpoint(checkpoint_path)
                 return None  # paused; self._run_state holds the frozen run
 
+        if until is not None:
+            rs.clock = now
+            return None
         result = SimulationResult(self.allocator.name, records, unstarted=list(queue))
         self._run_state = None
         return result
@@ -728,6 +748,79 @@ class SchedulerEngine:
         else:
             rs.records.append(record)
         rs.records_emitted += 1
+
+    # ------------------------------------------------------------------
+    # online step API
+    # ------------------------------------------------------------------
+
+    @property
+    def run_state(self) -> Optional[_RunState]:
+        """The open or paused run (read-only: queue, running, events, state)."""
+        return self._run_state
+
+    def open_run(
+        self, *, record_sink: Optional[Callable[[JobRecord], None]] = None
+    ) -> None:
+        """Start an empty, never-finishing run at t=0 for the step API.
+
+        Records go to ``record_sink`` (else accumulate on :attr:`run_state`).
+        """
+        rs = self._begin_run([], None, None)
+        rs.record_sink = record_sink
+        self._run_state = rs
+
+    def _open_run_state(self, t: Optional[float] = None) -> _RunState:
+        rs = self._run_state
+        if rs is None or rs.stream is not None:
+            raise RuntimeError("no open run — call open_run() first")
+        if t is not None and t < rs.clock:
+            raise ValueError(f"t={t} is before the run's clock t={rs.clock}")
+        return rs
+
+    def submit(self, job: Job) -> None:
+        """Queue ``job``'s arrival at ``job.submit_time`` (not before the clock)."""
+        rs = self._open_run_state(job.submit_time)
+        _require_fits(job, self.topology.n_nodes)
+        rs.events.push(job.submit_time, EventKind.SUBMIT, job)
+        rs.submits_left += 1
+
+    def inject(self, fault: FaultEvent) -> None:
+        """Queue a NODE_DOWN / NODE_UP transition at ``fault.time``."""
+        self._push_fault(self._open_run_state(fault.time).events, fault)
+
+    def cancel(self, job_id: int) -> bool:
+        """Drop a queued job or release a running one, then pass at the clock.
+
+        Returns whether it was running; ``KeyError`` if neither.
+        """
+        rs = self._open_run_state()
+        for i, job in enumerate(rs.queue):
+            if job.job_id == job_id:
+                del rs.queue[i]
+                was_running = False
+                break
+        else:
+            if rs.running.pop(job_id, None) is None:
+                raise KeyError(f"job {job_id} is neither queued nor running")
+            rs.state.release(job_id)
+            rs.views.remove(job_id)
+            was_running = True
+        rs.books.pop(job_id, None)
+        self._mark_dirty(rs)
+        self._schedule_pass(rs.clock, rs)
+        return was_running
+
+    def advance_to(self, t: float, *, inclusive: bool = True) -> None:
+        """Run every event batch up to ``t`` and move the clock to ``t``.
+
+        ``inclusive=False`` leaves the batch *at* ``t`` open for arrivals;
+        ``t=inf`` empties the heap, leaving the clock at the last batch.
+        """
+        rs = self._open_run_state(t)
+        bound = t if inclusive else math.nextafter(t, -math.inf)
+        self._run_measured(rs, None, None, None, None, until=bound)
+        if math.isfinite(t):
+            rs.clock = t
 
     # ------------------------------------------------------------------
     # checkpoint / resume
@@ -1065,7 +1158,7 @@ class SchedulerEngine:
                 self.last_stats.schedule_passes_skipped += 1
                 obs_runtime.count("engine.passes_skipped")
                 if cfg.verify_incremental:
-                    self._verify_no_picks(now, rs, "skipped")
+                    self._verify_picks(now, rs, [], "skipped")
                 return
             if rs.carry is not None:
                 self.last_stats.schedule_passes_incremental += 1
@@ -1084,10 +1177,9 @@ class SchedulerEngine:
 
         self.last_stats.schedule_passes += 1
         obs_runtime.count("engine.passes_full")
-        free = state.total_free
         if incremental_ok:
             with obs_runtime.timer("engine.schedule_pass"):
-                picks, carry = policy.begin_pass(now, queue, free, rs.views)
+                picks, carry = policy.begin_pass(now, queue, state.total_free, rs.views)
             if not picks:
                 rs.carry = carry
                 rs.clean_version = state.version
@@ -1098,12 +1190,8 @@ class SchedulerEngine:
             # Reference path (force_full_pass or a policy without the
             # incremental protocol): rebuild plain views every pass and
             # never skip — the pre-incremental engine, verbatim.
-            views = [
-                RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
-                for r in rs.running.values()
-            ]
             with obs_runtime.timer("engine.schedule_pass"):
-                picks = policy.select_startable(now, queue, free, views)
+                picks = self._reference_picks(rs, now)
             if not picks:
                 return
         self._apply_picks(now, rs, picks)
@@ -1121,17 +1209,7 @@ class SchedulerEngine:
         ]
         return self._policy.select_startable(now, rs.queue, rs.state.total_free, views)
 
-    def _verify_no_picks(self, now: float, rs: _RunState, what: str) -> None:
-        reference = self._reference_picks(rs, now)
-        if reference:
-            raise AssertionError(
-                f"pass-skip invariant violated: {what} pass at t={now} "
-                f"but a full reference pass picks {reference}"
-            )
-
-    def _verify_picks(
-        self, now: float, rs: _RunState, picks: List[int], what: str
-    ) -> None:
+    def _verify_picks(self, now: float, rs: _RunState, picks: List[int], what: str) -> None:
         reference = self._reference_picks(rs, now)
         if reference != picks:
             raise AssertionError(

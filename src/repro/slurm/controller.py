@@ -1,44 +1,46 @@
 """Interactive SLURM-style controller (``sbatch`` / ``squeue`` / ``sinfo``).
 
 The batch engine (:mod:`repro.scheduler.engine`) replays a fixed job
-log; this facade offers the *online* operating mode a SLURM user
-expects: submit jobs as virtual time advances, inspect the queue and
-per-switch occupancy, cancel jobs. It drives the same substrate — one
-:class:`~repro.cluster.state.ClusterState`, one allocator, one queue
-policy, Eq. 7 runtime adjustment against the counterfactual default
-allocation — so its scheduling decisions are bit-identical to the batch
-engine given the same inputs.
+log; this facade offers the *online* mode a SLURM user expects: submit
+jobs as virtual time advances, inspect the queue and per-switch
+occupancy, cancel jobs, fail and repair nodes. It has no scheduling
+logic of its own: it holds one open
+:class:`~repro.scheduler.engine.SchedulerEngine` run and drives it
+through the engine's step API, so every start, completion,
+interruption and scheduling pass is the engine's.
 
-Availability management mirrors ``scontrol update nodename=... state=``:
-:meth:`SlurmCluster.scontrol_down` fails nodes immediately (interrupting
-their jobs per the configured policy), :meth:`SlurmCluster.scontrol_drain`
-stops new work without killing running jobs, and
-:meth:`SlurmCluster.scontrol_resume` returns nodes to service. ``sinfo``
-reports per-switch DOWN/DRAIN counts alongside occupancy.
+**The instant contract.** The engine handles simultaneous events as one
+batch followed by one scheduling pass, and the facade maps commands
+onto those batches. ``sbatch`` joins the open instant's batch; every
+other command and every query first closes the instant by running its
+batch; ``advance(s)`` closes the instant, then runs the batches
+strictly before ``now + s``. So a script that advances only when time
+moves, submits each job at its submit time and then drains gets the
+records :func:`~repro.scheduler.engine.simulate` gives for the same
+jobs (equal :func:`~repro.runs.digest.result_digest`), and
+``scontrol_down`` / ``scontrol_resume`` (NODE_DOWN / NODE_UP events at
+``now``) match ``simulate(faults=...)`` at instants no other event
+shares. A query between two ``sbatch`` calls at one instant splits
+that instant's batch.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..allocation.base import Allocator
-from ..allocation.default_slurm import DefaultSlurmAllocator
-from ..allocation.registry import get_allocator
 from ..cluster.job import CommComponent, Job, JobKind
-from ..cluster.state import AVAIL_DOWN, AVAIL_DRAINING, ClusterState
+from ..cluster.state import AVAIL_DOWN, AVAIL_DRAINING, AVAIL_UP, ClusterState
 from ..cost.model import CostModel
-from ..faults.policy import InterruptionBook, require_policy
+from ..faults.events import FAULT_DOWN, FAULT_UP, FaultEvent
 from ..patterns.base import CommunicationPattern
 from ..patterns.registry import get_pattern
+from ..scheduler.engine import EngineConfig, SchedulerEngine
 from ..scheduler.metrics import JobRecord
-from ..scheduler.queue_policy import QueuePolicy, RunningJobView, get_policy
 from ..topology.tree import TreeTopology
-from .._validation import require_fraction, require_non_negative, require_positive_int
 
 __all__ = ["SlurmCluster", "QueueEntry", "SinfoRow", "JobState"]
 
@@ -78,18 +80,13 @@ class JobState:
     FAILED = "FAILED"
 
 
-@dataclass
-class _Running:
-    job: Job
-    start_time: float
-    finish_time: float
-    nodes: np.ndarray
-    cost_jobaware: Dict[str, float]
-    cost_default: Dict[str, float]
-
-
 class SlurmCluster:
     """An online mini-SLURM over the paper's allocation algorithms.
+
+    A command facade over one open engine run, under the module's
+    instant contract: ``sbatch`` joins the open instant, ``advance``
+    runs the batches before the new time, and every other command or
+    query first closes the instant.
 
     Example::
 
@@ -111,25 +108,25 @@ class SlurmCluster:
         checkpoint_interval: float = 3600.0,
     ) -> None:
         self.topology = topology
-        self.allocator = get_allocator(allocator) if isinstance(allocator, str) else allocator
-        self.state = ClusterState(topology)
-        self.cost_model = cost_model or CostModel()
-        self._policy: QueuePolicy = get_policy(policy)
-        self._default = DefaultSlurmAllocator()
-        self.interrupt_policy = require_policy(interrupt_policy)
-        if checkpoint_interval <= 0:
-            raise ValueError(
-                f"checkpoint_interval must be > 0, got {checkpoint_interval}"
-            )
-        self.checkpoint_interval = checkpoint_interval
+        config = EngineConfig(policy=policy, cost_model=cost_model or CostModel(),
+                              interrupt_policy=interrupt_policy,
+                              checkpoint_interval=checkpoint_interval)
+        self.engine = SchedulerEngine(topology, allocator, config)
+        self.engine.open_run(record_sink=self._finished)
         self._now = 0.0
-        self._ids = itertools.count(1)
-        self._pending: List[Job] = []
-        self._running: Dict[int, _Running] = {}
-        self._finish_heap: List[Tuple[float, int]] = []
+        self._next_id = 1
         self._history: List[JobRecord] = []
-        self._states: Dict[int, str] = {}
-        self._books: Dict[int, InterruptionBook] = {}
+        self._done: Dict[int, str] = {}
+
+    def _finished(self, record: JobRecord) -> None:
+        self._history.append(record)
+        done = JobState.FAILED if record.failed else JobState.COMPLETED
+        self._done[record.job.job_id] = done
+
+    def _close(self):
+        """Run the open instant's batch; returns the engine's run state."""
+        self.engine.advance_to(self._now)
+        return self.engine.run_state
 
     # ------------------------------------------------------------------
     # commands
@@ -139,6 +136,11 @@ class SlurmCluster:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
+
+    @property
+    def state(self) -> ClusterState:
+        """The cluster state at :attr:`now` (closes the open instant)."""
+        return self._close().state
 
     def sbatch(
         self,
@@ -154,37 +156,28 @@ class SlurmCluster:
         ``kind`` is ``"compute"``, ``"comm"``, or ``"io"``;
         communication-intensive jobs need a ``pattern`` (registry name
         or instance) and use ``comm_fraction`` of their runtime for it.
+        The job joins the open instant's batch.
         """
-        require_positive_int(nodes, "nodes")
-        require_non_negative(runtime, "runtime")
-        if nodes > self.topology.n_nodes:
+        try:
+            job_kind = JobKind(kind)
+        except ValueError:
             raise ValueError(
-                f"job wants {nodes} nodes, the cluster has {self.topology.n_nodes}"
-            )
-        job_id = next(self._ids)
-        if kind == "comm":
-            require_fraction(comm_fraction, "comm_fraction")
+                f"kind must be 'compute', 'comm', or 'io', got {kind!r}"
+            ) from None
+        comm = ()
+        if job_kind is JobKind.COMM:
             if pattern is None:
                 raise ValueError("communication-intensive jobs need a pattern")
             if isinstance(pattern, str):
                 pattern = get_pattern(pattern)
-            job = Job(job_id, self._now, nodes, runtime, JobKind.COMM,
-                      (CommComponent(pattern, comm_fraction),))
-        elif kind == "compute":
-            job = Job(job_id, self._now, nodes, runtime)
-        elif kind == "io":
-            job = Job(job_id, self._now, nodes, runtime, JobKind.IO)
-        else:
-            raise ValueError(
-                f"kind must be 'compute', 'comm', or 'io', got {kind!r}"
-            )
-        self._pending.append(job)
-        self._states[job_id] = JobState.PENDING
-        self._schedule_pass()
-        return job_id
+            comm = (CommComponent(pattern, comm_fraction),)
+        job = Job(self._next_id, self._now, nodes, runtime, job_kind, comm)
+        self.engine.submit(job)  # rejects jobs larger than the cluster
+        self._next_id += 1
+        return job.job_id
 
     def scancel(self, job_id: int) -> str:
-        """Cancel a pending or running job; returns its previous state.
+        """Cancel a pending or running job, reschedule; returns its previous state.
 
         A job id that was never submitted raises ``KeyError``; one that
         already reached a terminal state (COMPLETED / CANCELLED /
@@ -192,86 +185,66 @@ class SlurmCluster:
         ``scancel``'s distinct "invalid job id" vs "job already done"
         diagnostics.
         """
-        for i, job in enumerate(self._pending):
-            if job.job_id == job_id:
-                del self._pending[i]
-                self._states[job_id] = JobState.CANCELLED
-                return JobState.PENDING
-        entry = self._running.pop(job_id, None)
-        if entry is not None:
-            self.state.release(job_id)
-            self._states[job_id] = JobState.CANCELLED
-            self._schedule_pass()
-            return JobState.RUNNING
-        finished = self._states.get(job_id)
+        self._close()
+        finished = self._done.get(job_id)
         if finished is not None:
             raise ValueError(f"job {job_id} is already {finished}")
-        raise KeyError(f"unknown job {job_id}")
+        if job_id not in range(1, self._next_id):
+            raise KeyError(f"unknown job {job_id}")
+        was_running = self.engine.cancel(job_id)
+        self._done[job_id] = JobState.CANCELLED
+        return JobState.RUNNING if was_running else JobState.PENDING
 
     def squeue(self) -> List[QueueEntry]:
         """Running jobs (by expected end) then pending jobs (FIFO)."""
-        rows = [
-            QueueEntry(
-                job_id=r.job.job_id,
-                state=JobState.RUNNING,
-                nodes=r.job.nodes,
-                submit_time=r.job.submit_time,
-                start_time=r.start_time,
-                expected_end=r.finish_time,
-            )
-            for r in sorted(self._running.values(), key=lambda r: r.finish_time)
+        rs = self._close()
+        running = sorted(rs.running.values(), key=lambda r: r.finish_time)
+        return [
+            QueueEntry(r.job.job_id, JobState.RUNNING, r.job.nodes,
+                       r.job.submit_time, r.start_time, r.finish_time)
+            for r in running
+        ] + [
+            QueueEntry(j.job_id, JobState.PENDING, j.nodes, j.submit_time, None, None)
+            for j in rs.queue
         ]
-        rows.extend(
-            QueueEntry(
-                job_id=j.job_id,
-                state=JobState.PENDING,
-                nodes=j.nodes,
-                submit_time=j.submit_time,
-                start_time=None,
-                expected_end=None,
-            )
-            for j in self._pending
-        )
-        return rows
 
     def sinfo(self) -> List[SinfoRow]:
         """Per-leaf-switch occupancy and availability."""
-        n_leaves = self.topology.n_leaves
-        down = np.bincount(
-            self.topology.leaf_of_node[self.state.node_avail == AVAIL_DOWN],
-            minlength=n_leaves,
+        state, topo = self.state, self.topology
+        down, draining = (
+            np.bincount(topo.leaf_of_node[state.node_avail == avail],
+                        minlength=topo.n_leaves)
+            for avail in (AVAIL_DOWN, AVAIL_DRAINING)
         )
-        draining = np.bincount(
-            self.topology.leaf_of_node[self.state.node_avail == AVAIL_DRAINING],
-            minlength=n_leaves,
-        )
-        rows = []
-        for k in range(n_leaves):
-            info = self.topology.leaf(k)
-            rows.append(
-                SinfoRow(
-                    switch=info.name,
-                    nodes=int(self.topology.leaf_sizes[k]),
-                    free=int(self.state.leaf_free[k]),
-                    busy=int(self.state.leaf_busy[k]),
-                    comm_busy=int(self.state.leaf_comm[k]),
-                    io_busy=int(self.state.leaf_io[k]),
-                    down=int(down[k]),
-                    draining=int(draining[k]),
-                )
+        return [
+            SinfoRow(
+                switch=topo.leaf(k).name,
+                nodes=int(topo.leaf_sizes[k]),
+                free=int(state.leaf_free[k]),
+                busy=int(state.leaf_busy[k]),
+                comm_busy=int(state.leaf_comm[k]),
+                io_busy=int(state.leaf_io[k]),
+                down=int(down[k]),
+                draining=int(draining[k]),
             )
-        return rows
+            for k in range(topo.n_leaves)
+        ]
 
     def job_state(self, job_id: int) -> str:
-        """PENDING / RUNNING / COMPLETED / CANCELLED."""
-        try:
-            return self._states[job_id]
-        except KeyError:
-            raise KeyError(f"unknown job {job_id}") from None
+        """PENDING / RUNNING / COMPLETED / CANCELLED / FAILED."""
+        rs = self._close()
+        if job_id in self._done:
+            return self._done[job_id]
+        if job_id in rs.running:
+            return JobState.RUNNING
+        if job_id in range(1, self._next_id):
+            return JobState.PENDING
+        raise KeyError(f"unknown job {job_id}")
 
     @property
     def history(self) -> List[JobRecord]:
-        """Records of completed jobs, completion order."""
+        """Records of completed and failed jobs, completion order."""
+        self._close()
         return list(self._history)
 
     # ------------------------------------------------------------------
@@ -298,6 +271,16 @@ class SlurmCluster:
             out.extend(int(x) for x in self._resolve_nodes(n))
         return np.asarray(sorted(set(out)), dtype=np.int64)
 
+    def _transition(self, action: str, nodes, settled: int) -> np.ndarray:
+        """Apply a NODE_DOWN/UP event now; returns the nodes not already ``settled``."""
+        arr = self._resolve_nodes(nodes)
+        if arr.size == 0:
+            return arr
+        before = self._close().state.node_avail.copy()
+        self.engine.inject(FaultEvent(self._now, action, tuple(arr.tolist())))
+        self._close()
+        return arr[before[arr] != settled]
+
     def scontrol_down(self, nodes) -> np.ndarray:
         """Fail nodes now (``scontrol update state=DOWN reason=...``).
 
@@ -307,165 +290,45 @@ class SlurmCluster:
         (requeued at the current time, checkpoint-resumed, or FAILED).
         Returns the node ids newly marked DOWN.
         """
-        arr = self._resolve_nodes(nodes)
-        for job_id in self.state.jobs_on(arr):
-            entry = self._running.pop(job_id)
-            self.state.release(job_id)
-            book = self._books.setdefault(job_id, InterruptionBook())
-            requeued = book.interrupt(
-                self.interrupt_policy,
-                start_time=entry.start_time,
-                now=self._now,
-                duration=entry.finish_time - entry.start_time,
-                nodes=entry.job.nodes,
-                checkpoint_interval=self.checkpoint_interval,
-            )
-            if requeued:
-                self._pending.append(entry.job)
-                self._states[job_id] = JobState.PENDING
-            else:
-                self._states[job_id] = JobState.FAILED
-                self._history.append(
-                    JobRecord(
-                        job=entry.job,
-                        start_time=entry.start_time,
-                        finish_time=self._now,
-                        nodes=entry.nodes,
-                        cost_jobaware=entry.cost_jobaware,
-                        cost_default=entry.cost_default,
-                        requeues=book.requeues,
-                        wasted_node_seconds=book.wasted_node_seconds,
-                        failed=True,
-                    )
-                )
-        transitioned = self.state.mark_down(arr)
-        self._schedule_pass()
-        return transitioned
+        return self._transition(FAULT_DOWN, nodes, AVAIL_DOWN)
 
     def scontrol_drain(self, nodes) -> np.ndarray:
         """Drain nodes: running jobs finish, nothing new lands on them."""
-        return self.state.mark_drain(self._resolve_nodes(nodes))
+        arr = self._resolve_nodes(nodes)
+        return self._close().state.mark_drain(arr)
 
     def scontrol_resume(self, nodes) -> np.ndarray:
         """Return DOWN/DRAINING nodes to service and reschedule."""
-        transitioned = self.state.mark_up(self._resolve_nodes(nodes))
-        self._schedule_pass()
-        return transitioned
+        return self._transition(FAULT_UP, nodes, AVAIL_UP)
 
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
 
     def advance(self, seconds: float) -> None:
-        """Advance virtual time, processing completions along the way."""
+        """Advance virtual time, processing completions along the way.
+
+        Batches strictly before ``now + seconds`` run; the instant at
+        ``now + seconds`` stays open for the next ``sbatch``.
+        """
         if seconds < 0:
             raise ValueError(f"cannot advance by {seconds} seconds")
-        deadline = self._now + seconds
-        while self._finish_heap and self._finish_heap[0][0] <= deadline:
-            finish_time, job_id = heapq.heappop(self._finish_heap)
-            entry = self._running.get(job_id)
-            if entry is None or entry.finish_time != finish_time:
-                continue  # cancelled or stale heap entry
-            self._now = finish_time
-            self._complete(entry)
-            self._schedule_pass()
-        self._now = deadline
+        self._close()
+        self.engine.advance_to(self._now + seconds, inclusive=False)
+        self._now += seconds
 
     def drain(self, max_seconds: float = float("inf")) -> None:
-        """Advance until queue and cluster are empty (or the cap is hit)."""
-        t0 = self._now
-        while (self._running or self._pending) and self._finish_heap:
-            next_finish = self._finish_heap[0][0]
-            if next_finish - t0 > max_seconds:
-                break
-            self.advance(next_finish - self._now)
-        if self._pending and not self._running:
+        """Advance until no event is left (or ``max_seconds`` have passed).
+
+        Uncapped, the clock stops at the last event processed; capped,
+        it moves by exactly ``max_seconds``. Raises ``RuntimeError``
+        when pending jobs are left with nothing running to free nodes.
+        """
+        self.engine.advance_to(self._now + max_seconds)  # closes the instant too
+        rs = self.engine.run_state
+        self._now = rs.clock
+        if rs.queue and not rs.running:
             raise RuntimeError(
-                f"{len(self._pending)} pending jobs can never start "
+                f"{len(rs.queue)} pending jobs can never start "
                 "(no running job will free nodes)"
             )
-
-    # ------------------------------------------------------------------
-    # internals (mirrors SchedulerEngine.start_job)
-    # ------------------------------------------------------------------
-
-    def _complete(self, entry: _Running) -> None:
-        self.state.release(entry.job.job_id)
-        del self._running[entry.job.job_id]
-        self._states[entry.job.job_id] = JobState.COMPLETED
-        book = self._books.get(entry.job.job_id)
-        self._history.append(
-            JobRecord(
-                job=entry.job,
-                start_time=entry.start_time,
-                finish_time=entry.finish_time,
-                nodes=entry.nodes,
-                cost_jobaware=entry.cost_jobaware,
-                cost_default=entry.cost_default,
-                requeues=book.requeues if book else 0,
-                wasted_node_seconds=book.wasted_node_seconds if book else 0.0,
-            )
-        )
-
-    def _schedule_pass(self) -> None:
-        if not self._pending:
-            return
-        views = [
-            RunningJobView(finish_estimate=r.finish_time, nodes=len(r.nodes))
-            for r in self._running.values()
-        ]
-        picks = self._policy.select_startable(
-            self._now, self._pending, self.state.total_free, views
-        )
-        started = [self._pending[i] for i in picks]
-        for i in sorted(picks, reverse=True):
-            del self._pending[i]
-        for job in started:
-            self._start(job)
-
-    def _start(self, job: Job) -> None:
-        needs_counterfactual = (
-            job.is_comm_intensive and self.allocator.name != self._default.name
-        )
-        dnodes = (
-            self._default.allocate(self.state, job) if needs_counterfactual else None
-        )
-        nodes = self.allocator.allocate(self.state, job)
-        default_view = (
-            self.state.comm_overlay(dnodes, job.kind) if needs_counterfactual else None
-        )
-        self.state.allocate(job.job_id, nodes, job.kind)
-
-        cost_jobaware: Dict[str, float] = {}
-        cost_default: Dict[str, float] = {}
-        runtime = job.runtime
-        if job.is_comm_intensive:
-            aware = {
-                c.pattern: self.cost_model.allocation_cost(self.state, nodes, c.pattern)
-                for c in job.comm
-            }
-            if needs_counterfactual:
-                assert default_view is not None and dnodes is not None
-                default = {
-                    c.pattern: self.cost_model.allocation_cost(default_view, dnodes, c.pattern)
-                    for c in job.comm
-                }
-            else:
-                default = dict(aware)
-            runtime = self.cost_model.adjusted_runtime(job, aware, default)
-            cost_jobaware = {p.name: v for p, v in aware.items()}
-            cost_default = {p.name: v for p, v in default.items()}
-
-        book = self._books.get(job.job_id)
-        remaining = book.remaining if book else 1.0
-        entry = _Running(
-            job=job,
-            start_time=self._now,
-            finish_time=self._now + runtime * remaining,
-            nodes=nodes,
-            cost_jobaware=cost_jobaware,
-            cost_default=cost_default,
-        )
-        self._running[job.job_id] = entry
-        self._states[job.job_id] = JobState.RUNNING
-        heapq.heappush(self._finish_heap, (entry.finish_time, job.job_id))

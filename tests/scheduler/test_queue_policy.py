@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.scheduler import EasyBackfillPolicy, FifoPolicy, RunningJobView, get_policy
+from repro.scheduler import (
+    EasyBackfillPolicy,
+    EngineConfig,
+    FifoPolicy,
+    RunningJobView,
+    get_policy,
+    simulate,
+)
+from repro.topology import tree_from_leaf_sizes
 
 from ..conftest import make_compute_job
 
@@ -96,6 +104,28 @@ class TestEasyBackfill:
         queue[0] = make_compute_job(job_id=0, nodes=12, runtime=100.0)
         picks = EasyBackfillPolicy().select_startable(30.0, queue, 4, running)
         assert picks == []
+
+
+class TestEasyShadowDefect:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the EASY shadow time ignores jobs started "
+        "earlier in the same pass (docs/model.md)",
+    )
+    def test_head_not_delayed_by_backfill(self):
+        """Job 3 starts in the same pass as the backfill decision and ends
+        at 11, freeing the 4 nodes blocked head job 4 needs. The shadow
+        counts only jobs 1 and 2 (ending at 100), so job 5 (1..51) is
+        backfilled onto those nodes and job 4 waits until 51."""
+        trace = [(1, 0, 2, 100), (2, 0, 4, 200), (3, 1, 2, 10),
+                 (4, 1, 4, 30), (5, 1, 2, 50)]
+        jobs = [
+            make_compute_job(job_id=i, nodes=n, runtime=float(r), submit_time=float(t))
+            for i, t, n, r in trace
+        ]
+        result = simulate(tree_from_leaf_sizes([5, 5]), jobs, "default",
+                          config=EngineConfig(policy="backfill"))
+        assert result.record_for(4).start_time == 11.0
 
 
 class TestGetPolicy:

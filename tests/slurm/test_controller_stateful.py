@@ -1,11 +1,16 @@
 """Stateful fuzzing of the interactive controller.
 
 Hypothesis drives random command sequences (sbatch / advance / scancel /
-drain) against :class:`SlurmCluster` and checks the global invariants
-after every step: counters never drift, node accounting matches the
-running set, every job is in exactly one lifecycle state, and completed
-jobs have consistent timestamps.
+scontrol down, drain and resume) against :class:`SlurmCluster` under
+every queue policy and checks the global invariants after every step:
+the engine's incremental scheduling matches a full pass
+(``verify_incremental``), the :mod:`repro.validate` battery holds over
+the facade's engine run, node accounting matches the running set,
+every job is in exactly one lifecycle state, and finished jobs have
+consistent timestamps.
 """
+
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -13,14 +18,27 @@ from hypothesis import strategies as st
 
 from repro.slurm import JobState, SlurmCluster
 from repro.topology import tree_from_leaf_sizes
+from repro.validate import InvariantChecker
+
+NODE_SETS = st.lists(st.integers(min_value=0, max_value=17), min_size=1, max_size=6)
 
 
 class SlurmClusterMachine(RuleBasedStateMachine):
-    @initialize()
-    def setup(self):
+    @initialize(
+        policy=st.sampled_from(["fifo", "backfill", "conservative"]),
+        interrupt_policy=st.sampled_from(["requeue", "checkpoint", "abandon"]),
+    )
+    def setup(self, policy, interrupt_policy):
         self.cluster = SlurmCluster(
-            tree_from_leaf_sizes([6, 6, 6]), allocator="balanced"
+            tree_from_leaf_sizes([6, 6, 6]),
+            allocator="balanced",
+            policy=policy,
+            interrupt_policy=interrupt_policy,
+            checkpoint_interval=60.0,
         )
+        engine = self.cluster.engine
+        engine.config = replace(engine.config, verify_incremental=True)
+        self.checker = InvariantChecker()
         self.submitted = []
 
     @rule(
@@ -51,11 +69,30 @@ class SlurmClusterMachine(RuleBasedStateMachine):
         if candidates:
             self.cluster.scancel(candidates[pick % len(candidates)])
 
+    @rule(nodes=NODE_SETS)
+    def scontrol_down(self, nodes):
+        self.cluster.scontrol_down(nodes)
+
+    @rule(nodes=NODE_SETS)
+    def scontrol_drain(self, nodes):
+        self.cluster.scontrol_drain(nodes)
+
+    @rule(nodes=NODE_SETS)
+    def scontrol_resume(self, nodes):
+        self.cluster.scontrol_resume(nodes)
+
     @invariant()
     def counters_consistent(self):
         if not hasattr(self, "cluster"):
             return
         self.cluster.state.validate()
+
+    @invariant()
+    def engine_invariants_hold(self):
+        if not hasattr(self, "cluster"):
+            return
+        engine = self.cluster.engine
+        self.checker.check_engine(engine, engine.run_state)
 
     @invariant()
     def every_job_has_one_state(self):
@@ -68,6 +105,7 @@ class SlurmClusterMachine(RuleBasedStateMachine):
                 JobState.RUNNING,
                 JobState.COMPLETED,
                 JobState.CANCELLED,
+                JobState.FAILED,
             )
 
     @invariant()
