@@ -25,8 +25,8 @@ Three modes:
   generation (inherent to the model); materialized jobs/sec excludes
   list construction, matching the PR 4 replay semantics — the reported
   streaming-vs-materialized speedup is therefore conservative. Also
-  records a shared-memory sweep section (serial vs pooled workers with
-  and without topology sharing) and a streaming/materialized
+  records a shared-memory sweep section (serial vs pooled workers, which
+  attach one shared topology) and a streaming/materialized
   bit-identity smoke. Writes ``BENCH_PR9.json``.
 
 Usage::
@@ -338,7 +338,7 @@ def ladder_identity_smoke(n_jobs: int = 3_000) -> dict:
 
 
 def ladder_workers_section() -> dict:
-    """Serial vs pooled sweep, with and without shared-memory topology."""
+    """Serial vs pooled sweep (pooled workers share one topology)."""
     from repro.experiments.sweeps import sweep
     from repro.topology import publish_topology, theta_like
 
@@ -354,9 +354,7 @@ def ladder_workers_section() -> dict:
     print("  sweep 8 points x 2 allocators, serial ...", flush=True)
     serial_rows, serial_s = timed()
     print("  sweep pooled (4 workers, shared topology) ...", flush=True)
-    shared_rows, shared_s = timed(workers=4, share_topology=True)
-    print("  sweep pooled (4 workers, per-worker topology) ...", flush=True)
-    unshared_rows, unshared_s = timed(workers=4, share_topology=False)
+    shared_rows, shared_s = timed(workers=4)
 
     with publish_topology(theta_like()) as pub:
         segment_bytes = int(pub.handle.pack.size)
@@ -365,9 +363,8 @@ def ladder_workers_section() -> dict:
         "grid_points": len(grid["seed"]),
         "serial_seconds": serial_s,
         "pooled_shared_seconds": shared_s,
-        "pooled_unshared_seconds": unshared_s,
         "shared_segment_bytes": segment_bytes,
-        "rows_identical": serial_rows == shared_rows == unshared_rows,
+        "rows_identical": serial_rows == shared_rows,
     }
 
 

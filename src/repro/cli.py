@@ -702,6 +702,7 @@ def _simulate_engine_path(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .experiments.runner import prepare_jobs
     from .faults.trace import FaultTraceError
+    from .runs import TaskFailedError
     from .runs.integrity import IntegrityError
     from .validate import InvariantViolation
 
@@ -768,6 +769,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 130
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
+    except TaskFailedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
@@ -989,6 +993,7 @@ def _report_partial(rows) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.sweeps import sweep
+    from .runs import TaskFailedError
 
     try:
         grid, defaults = _parse_grid(args)
@@ -1009,6 +1014,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 defaults=defaults or None,
                 workers=args.workers,
             )
+    except TaskFailedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,25 +12,31 @@ frozen snapshot under every allocator. This isolates the allocation
 quality from queueing dynamics — the paper's device for a fair
 job-by-job comparison (§5.4, Table 4, Figure 7 right panel).
 
-Both harnesses accept ``workers``: with ``workers > 1`` the independent
-(allocator, …) tasks fan out over a ``ProcessPoolExecutor``. Task specs
-are plain picklable values and results are reassembled in the serial
-order, so parallel output is bit-identical to the serial path.
+Both harnesses split into independent (allocator, …) cells and hand
+them to :func:`repro.runs.run_tasks`, the one dispatch path for every
+mode. ``workers > 1`` fans the cells out over a process pool; a batch
+whose pool would hold one worker runs in-process instead, unless a
+retry or timeout policy needs the process boundary to survive a killed
+or hung cell. Task specs are plain picklable values and results are
+reassembled by key in ``cfg.allocators`` order, so every mode is
+bit-identical to a direct :class:`~repro.scheduler.engine.SchedulerEngine`
+run per allocator.
 
 Crash resilience (``docs/resilience.md``): ``max_retries``,
-``on_task_error``, ``task_timeout``, and ``journal`` route the fan-out
-through :func:`repro.runs.run_tasks` — worker crashes rebuild the pool
-and resubmit only unfinished cells, failed cells retry with exponential
-backoff, and every task spec/attempt/result digest is journaled so
-``repro-sched verify-run`` can replay and diff the run later. Because
-each cell is a pure function of its spec, the recovered output stays
-bit-identical to a serial run. With none of those arguments given, the
-pre-existing fast paths run unchanged.
+``on_task_error``, ``task_timeout``, and ``journal`` configure that
+same call — worker crashes rebuild the pool and resubmit only
+unfinished cells, failed cells retry with exponential backoff, and
+every task spec/attempt/result digest is journaled so
+``repro-sched verify-run`` can replay and diff the run later. Config
+errors (an unknown allocator, policy or log, a bad interrupt knob) are
+raised once in the caller before any cell exists: they are neither
+retried nor journaled.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import contextlib
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,7 +50,6 @@ from ..cluster.state import ClusterState
 from ..cost.contention import ContentionModel
 from ..cost.model import CostModel
 from ..faults.events import FaultEvent
-from ..obs import runtime as obs_runtime
 from ..obs.progress import ProgressReporter
 from ..runs import (
     PartialResults,
@@ -58,6 +63,7 @@ from ..runs import (
 from ..runs.retry import ON_ERROR_RETRY
 from ..scheduler.engine import EngineConfig, SchedulerEngine
 from ..scheduler.metrics import SimulationResult
+from ..scheduler.queue_policy import get_policy
 from ..scheduler.serialize import fault_from_dict, fault_to_dict, job_to_dict
 from ..topology.shared import shared_topology
 from ..topology.tree import TreeTopology
@@ -112,13 +118,15 @@ class ExperimentConfig:
         topology under this log's name
         (:func:`repro.topology.install_topology_handles`), that
         zero-copy instance is returned; otherwise the topology is built
-        fresh from :data:`~repro.workloads.logs.LOG_SPECS`. The two are
-        equal, so results never depend on which path served the call.
+        from :data:`~repro.workloads.logs.LOG_SPECS`, once per process
+        and log, and reused by every later call. Topologies are
+        immutable and the two sources are equal, so results never
+        depend on which path served the call.
         """
         shared = shared_topology(self.log)
         if shared is not None:
             return shared
-        return LOG_SPECS[self.log].topology()
+        return _built_topology(self.log)
 
     def engine_config(self) -> EngineConfig:
         """Translate the experiment knobs into an :class:`EngineConfig`."""
@@ -132,6 +140,12 @@ class ExperimentConfig:
     def with_(self, **kwargs) -> "ExperimentConfig":
         """Functional update (thin wrapper over dataclasses.replace)."""
         return replace(self, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _built_topology(log: str) -> TreeTopology:
+    """One log's topology, built on first use (bounded by ``LOG_SPECS``)."""
+    return LOG_SPECS[log].topology()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> Dict[str, Any]:
@@ -203,19 +217,19 @@ def _journal_context(
     return context
 
 
-def _resilient(
-    max_retries: int,
-    on_task_error: str,
-    journal: Optional[object],
-    task_timeout: Optional[float],
-) -> bool:
-    """Whether any crash-resilience feature was requested."""
-    return (
-        max_retries > 0
-        or on_task_error != ON_ERROR_RETRY
-        or journal is not None
-        or task_timeout is not None
-    )
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise ``cfg``'s config errors in the caller, before any cell runs.
+
+    Every cell of a harness would fail identically on a bad log name,
+    queue policy, interrupt knob or allocator spec; checked here, such
+    an error surfaces once as its own ``KeyError``/``ValueError``
+    instead of as a retried, journaled :class:`~repro.runs.TaskFailedError`.
+    """
+    if cfg.log not in LOG_SPECS:
+        raise KeyError(f"unknown log {cfg.log!r}; known: {sorted(LOG_SPECS)}")
+    get_policy(cfg.engine_config().policy)
+    for name in cfg.allocators:
+        get_allocator(name)
 
 
 def prepare_jobs(cfg: ExperimentConfig) -> List[Job]:
@@ -252,90 +266,60 @@ def continuous_runs(
 ) -> Dict[str, SimulationResult]:
     """Replay the log once per allocator; returns results keyed by name.
 
-    ``workers > 1`` runs the allocators in parallel processes. Each
-    worker evolves its own engine from the same job list, so results are
-    bit-identical to the serial path and returned in ``cfg.allocators``
-    order either way.
+    Each allocator is one :func:`~repro.runs.run_tasks` cell that evolves
+    its own engine from the same job list. ``workers > 1`` runs the cells
+    in parallel processes; results are bit-identical in every mode and
+    returned in ``cfg.allocators`` order.
 
     ``max_retries`` / ``on_task_error`` / ``task_timeout`` / ``journal``
-    route the fan-out through the resilient executor (crashed workers
-    rebuild the pool, failed cells retry with backoff, attempts and
-    digests are journaled). With ``on_task_error="skip"`` the return
-    value is a :class:`~repro.runs.PartialResults` whose ``missing``
-    names the allocators that exhausted their attempts.
+    set the executor's policy (crashed workers rebuild the pool, failed
+    cells retry with backoff, attempts and digests are journaled). A
+    cell that exhausts its attempts raises
+    :class:`~repro.runs.TaskFailedError`; with ``on_task_error="skip"``
+    the return value is instead a :class:`~repro.runs.PartialResults`
+    whose ``missing`` names those allocators. Config errors raise
+    before any cell runs and are never retried or journaled.
 
     ``progress`` (or an ambient reporter installed via
     :func:`repro.obs.progressing`) receives one update per finished
     allocator cell; purely diagnostic.
     """
+    _check_config(cfg)
     explicit_jobs = None if jobs is None else list(jobs)
     job_list = prepare_jobs(cfg) if explicit_jobs is None else explicit_jobs
-    if progress is None:
-        progress = obs_runtime.progress()
-    if _resilient(max_retries, on_task_error, journal, task_timeout):
-        tasks = [
-            TaskSpec(
-                key=name,
-                fn=_continuous_worker,
-                args=(cfg, name, job_list),
-                spec={"allocator": name},
-            )
-            for name in cfg.allocators
-        ]
-        jrn = (
-            RunJournal(
-                journal,
-                run_type="continuous_runs",
-                context=_journal_context(cfg, explicit_jobs),
-            )
-            if journal is not None
-            else None
+    tasks = [
+        TaskSpec(
+            key=name,
+            fn=_continuous_worker,
+            args=(cfg, name, job_list),
+            spec={"allocator": name},
         )
-        try:
-            batch = run_tasks(
-                tasks,
-                workers=workers,
-                policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                on_task_error=on_task_error,
-                journal=jrn,
-                digest=result_digest,
-                progress=progress,
-            )
-        finally:
-            if jrn is not None:
-                jrn.close()
-        ordered = {
-            name: batch.results[name]
-            for name in cfg.allocators
-            if name in batch.results
-        }
-        if batch.complete:
-            return ordered
-        return PartialResults(ordered, batch.missing, batch.quarantined)
-    if workers is not None and workers > 1 and len(cfg.allocators) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cfg.allocators))
-        ) as pool:
-            futures = [
-                pool.submit(_continuous_worker, cfg, name, job_list)
-                for name in cfg.allocators
-            ]
-            gathered: Dict[str, SimulationResult] = {}
-            for done, (name, future) in enumerate(
-                zip(cfg.allocators, futures), start=1
-            ):
-                gathered[name] = future.result()
-                if progress is not None:
-                    progress.task_update(done, len(cfg.allocators), name)
-            return gathered
-    topology = cfg.topology()
-    results: Dict[str, SimulationResult] = {}
-    for done, name in enumerate(cfg.allocators, start=1):
-        engine = SchedulerEngine(topology, name, cfg.engine_config())
-        results[name] = engine.run(job_list, faults=cfg.faults)
-        if progress is not None:
-            progress.task_update(done, len(cfg.allocators), name)
-    return results
+        for name in cfg.allocators
+    ]
+    with (
+        RunJournal(
+            journal,
+            run_type="continuous_runs",
+            context=_journal_context(cfg, explicit_jobs),
+        )
+        if journal is not None
+        else contextlib.nullcontext()
+    ) as jrn:
+        batch = run_tasks(
+            tasks,
+            workers=workers,
+            policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
+            on_task_error=on_task_error,
+            journal=jrn,
+            digest=result_digest,
+            progress=progress,
+        )
+    ordered = {
+        name: batch.results[name] for name in cfg.allocators if name in batch.results
+    }
+    if batch.complete:
+        return ordered
+    return PartialResults(ordered, batch.missing, batch.quarantined)
 
 
 # ----------------------------------------------------------------------
@@ -540,97 +524,59 @@ def individual_runs(
 
     ``n_samples`` jobs are drawn (seeded) from the non-warm-up portion
     of the log; every allocator in ``cfg.allocators`` prices each of
-    them against the same warm snapshot. ``workers > 1`` fans the
-    allocators out over processes; every evaluation is a pure function
-    of the frozen snapshot, and outcomes are reassembled in the serial
-    (job-major, allocator-minor) order, so results are bit-identical.
+    them against the same warm snapshot. Each allocator's column is one
+    :func:`~repro.runs.run_tasks` cell, and ``workers > 1`` fans the
+    cells out over processes. Every evaluation is a pure function of
+    the frozen snapshot, and outcomes are reassembled in job-major,
+    allocator-minor order, so results are bit-identical in every mode.
 
-    The resilience arguments behave as in :func:`continuous_runs`; under
-    ``on_task_error="skip"`` the result's ``missing`` names allocators
-    whose column could not be computed.
+    The resilience and ``progress`` arguments behave as in
+    :func:`continuous_runs` (one progress update per allocator cell);
+    under ``on_task_error="skip"`` the result's ``missing`` names
+    allocators whose column could not be computed.
     """
+    _check_config(cfg)
     explicit_jobs = None if jobs is None else list(jobs)
     job_list = prepare_jobs(cfg) if explicit_jobs is None else explicit_jobs
     state, sampled = _individual_setup(
         cfg, n_samples=n_samples, target_occupancy=target_occupancy, jobs=job_list
     )
-    if progress is None:
-        progress = obs_runtime.progress()
-
-    outcomes: List[IndividualOutcome] = []
-    if _resilient(max_retries, on_task_error, journal, task_timeout):
-        tasks = [
-            TaskSpec(
-                key=name,
-                fn=_individual_worker,
-                args=(state, sampled, name, cfg.cost_model),
-                spec={"allocator": name},
-            )
-            for name in cfg.allocators
-        ]
-        jrn = (
-            RunJournal(
-                journal,
-                run_type="individual_runs",
-                context=_journal_context(
-                    cfg,
-                    explicit_jobs,
-                    n_samples=n_samples,
-                    target_occupancy=target_occupancy,
-                ),
-            )
-            if journal is not None
-            else None
+    tasks = [
+        TaskSpec(
+            key=name,
+            fn=_individual_worker,
+            args=(state, sampled, name, cfg.cost_model),
+            spec={"allocator": name},
         )
-        try:
-            batch = run_tasks(
-                tasks,
-                workers=workers,
-                policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                on_task_error=on_task_error,
-                journal=jrn,
-                digest=outcomes_digest,
-                progress=progress,
-            )
-        finally:
-            if jrn is not None:
-                jrn.close()
-        columns = [
-            batch.results[name] for name in cfg.allocators if name in batch.results
-        ]
-        for i in range(len(sampled)):
-            for col in columns:
-                outcomes.append(col[i])
-        return IndividualRunResult(
-            outcomes=outcomes,
-            sampled_job_ids=[j.job_id for j in sampled],
-            missing=dict(batch.missing),
-            quarantined=dict(batch.quarantined),
+        for name in cfg.allocators
+    ]
+    with (
+        RunJournal(
+            journal,
+            run_type="individual_runs",
+            context=_journal_context(
+                cfg,
+                explicit_jobs,
+                n_samples=n_samples,
+                target_occupancy=target_occupancy,
+            ),
         )
-    if workers is not None and workers > 1 and len(cfg.allocators) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(cfg.allocators))
-        ) as pool:
-            futures = [
-                pool.submit(_individual_worker, state, sampled, name, cfg.cost_model)
-                for name in cfg.allocators
-            ]
-            per_allocator = []
-            for done, (name, future) in enumerate(
-                zip(cfg.allocators, futures), start=1
-            ):
-                per_allocator.append(future.result())
-                if progress is not None:
-                    progress.task_update(done, len(cfg.allocators), name)
-        for i in range(len(sampled)):
-            for col in per_allocator:
-                outcomes.append(col[i])
-    else:
-        for done, job in enumerate(sampled, start=1):
-            for name in cfg.allocators:
-                outcomes.append(evaluate_single_job(state, job, name, cfg.cost_model))
-            if progress is not None:
-                progress.task_update(done, len(sampled), job.job_id)
+        if journal is not None
+        else contextlib.nullcontext()
+    ) as jrn:
+        batch = run_tasks(
+            tasks,
+            workers=workers,
+            policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
+            on_task_error=on_task_error,
+            journal=jrn,
+            digest=outcomes_digest,
+            progress=progress,
+        )
+    columns = [batch.results[name] for name in cfg.allocators if name in batch.results]
     return IndividualRunResult(
-        outcomes=outcomes, sampled_job_ids=[j.job_id for j in sampled]
+        outcomes=[col[i] for i in range(len(sampled)) for col in columns],
+        sampled_job_ids=[j.job_id for j in sampled],
+        missing=dict(batch.missing),
+        quarantined=dict(batch.quarantined),
     )

@@ -10,9 +10,9 @@ dataframe library.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
@@ -30,7 +30,7 @@ from ..scheduler.metrics import SimulationResult, percent_improvement
 from ..topology.shared import install_topology_handles, publish_topology
 from ..workloads.classify import single_pattern_mix
 from ..workloads.logs import LOG_SPECS
-from .runner import ExperimentConfig, _resilient, continuous_runs
+from .runner import ExperimentConfig, _check_config, continuous_runs
 
 __all__ = [
     "sweep",
@@ -154,7 +154,6 @@ def sweep(
     on_task_error: str = ON_ERROR_RETRY,
     journal: Optional[Union[str, "os.PathLike"]] = None,
     task_timeout: Optional[float] = None,
-    share_topology: bool = True,
 ) -> List[Dict[str, object]]:
     """Run every combination in ``grid``; one row per (point, allocator).
 
@@ -164,14 +163,13 @@ def sweep(
     point, the paper's aggregate metrics, and the percent improvement
     over the ``"default"`` allocator when it is part of the run.
 
-    ``workers > 1`` runs the grid points in parallel processes (each
-    point's allocators run serially inside its worker); rows come back
-    in the same cross-product order as the serial path, bit-identical.
-    With ``share_topology`` (the default) each distinct log's topology —
-    including its precomputed leaf-pair LCA matrix — is published once
-    into shared memory and attached zero-copy by every worker, instead
-    of being rebuilt per process; set it to False to fall back to
-    per-worker construction (e.g. when ``/dev/shm`` is unavailable).
+    Each grid point is one :func:`~repro.runs.run_tasks` cell (its
+    allocators run serially inside the cell). ``workers > 1`` runs the
+    points in parallel processes; each distinct log's topology —
+    including its precomputed leaf-pair LCA matrix — is then published
+    once into shared memory and attached zero-copy by every worker,
+    instead of being rebuilt per process. Rows come back in
+    cross-product order, bit-identical in every mode.
 
     The resilience arguments behave as in
     :func:`~repro.experiments.runner.continuous_runs`, per grid point;
@@ -182,81 +180,58 @@ def sweep(
     names = list(grid)
     points = expand_grid(grid, defaults)
     configs = [point_config(point, allocators) for point in points]
+    for cfg in configs:
+        _check_config(cfg)
+    keys = [_point_key(point, names) for point in points]
+    tasks = [
+        TaskSpec(
+            key=key,
+            fn=_sweep_point_worker,
+            args=(cfg,),
+            spec={"point": point, "allocators": list(allocators)},
+        )
+        for key, point, cfg in zip(keys, points, configs)
+    ]
 
-    pooled = workers is not None and workers > 1 and len(configs) > 1
     published = {}
     initializer = None
     initargs = ()
-    if share_topology and pooled:
+    if workers is not None and workers > 1 and len(configs) > 1:
         for log in dict.fromkeys(cfg.log for cfg in configs):
             published[log] = publish_topology(LOG_SPECS[log].topology())
-        handles = {log: pub.handle for log, pub in published.items()}
         initializer = install_topology_handles
-        initargs = (handles,)
-
-    missing: Dict[str, str] = {}
-    quarantined: Dict[str, str] = {}
+        initargs = ({log: pub.handle for log, pub in published.items()},)
     try:
-        if _resilient(max_retries, on_task_error, journal, task_timeout):
-            keys = [_point_key(point, names) for point in points]
-            tasks = [
-                TaskSpec(
-                    key=key,
-                    fn=_sweep_point_worker,
-                    args=(cfg,),
-                    spec={"point": point, "allocators": list(allocators)},
-                )
-                for key, point, cfg in zip(keys, points, configs)
-            ]
-            jrn = (
-                RunJournal(journal, run_type="sweep", context={})
-                if journal is not None
-                else None
-            )
-            try:
-                result_batch = run_tasks(
-                    tasks,
-                    workers=workers,
-                    policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
-                    on_task_error=on_task_error,
-                    journal=jrn,
-                    digest=_point_digest,
-                    initializer=initializer,
-                    initargs=initargs,
-                )
-            finally:
-                if jrn is not None:
-                    jrn.close()
-            missing = dict(result_batch.missing)
-            quarantined = dict(result_batch.quarantined)
-            kept = [
-                (point, result_batch.results[key])
-                for key, point in zip(keys, points)
-                if key in result_batch.results
-            ]
-        elif pooled:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(configs)),
+        with (
+            RunJournal(journal, run_type="sweep", context={})
+            if journal is not None
+            else contextlib.nullcontext()
+        ) as jrn:
+            batch = run_tasks(
+                tasks,
+                workers=workers,
+                policy=RetryPolicy(max_retries=max_retries, timeout=task_timeout),
+                on_task_error=on_task_error,
+                journal=jrn,
+                digest=_point_digest,
                 initializer=initializer,
                 initargs=initargs,
-            ) as pool:
-                kept = list(zip(points, pool.map(continuous_runs, configs)))
-        else:
-            kept = [
-                (point, continuous_runs(cfg)) for point, cfg in zip(points, configs)
-            ]
+            )
     finally:
-        # destroy the segments only after every worker exited (both pool
-        # paths join their workers before returning)
+        # Unlinking while a terminated worker may still be exiting is
+        # safe: repro.shm attachments are not registered with the
+        # resource tracker, and a POSIX unlink only removes the name —
+        # live mappings stay valid until their process unmaps them.
         for pub in published.values():
             pub.unlink()
 
     rows: List[Dict[str, object]] = []
-    for point, results in kept:
-        rows.extend(point_rows(point, results))
-    if missing or quarantined:
-        return PartialRows(rows, missing, quarantined)
-    return rows
+    for key, point in zip(keys, points):
+        if key in batch.results:
+            rows.extend(point_rows(point, batch.results[key]))
+    if batch.complete:
+        return rows
+    return PartialRows(rows, batch.missing, batch.quarantined)
 
 
 def rows_to_csv(rows: Iterable[Dict[str, object]]) -> str:

@@ -421,8 +421,11 @@ def run_tasks(
 
     ``workers <= 1`` runs serially in-process (retries still apply;
     per-task timeouts cannot be enforced without a pool and are
-    ignored). Task keys must be unique. Results come back keyed, so
-    callers reassemble them in any deterministic order they choose.
+    ignored). So does a batch whose pool would hold a single worker
+    (one task), unless ``policy`` can retry or time out: only a process
+    boundary survives a killed or hung cell. Task keys must be unique.
+    Results come back keyed, so callers reassemble them in any
+    deterministic order they choose.
 
     ``progress`` receives one ``task_update(done, total, key)`` per
     settled cell (succeeded, or skipped after exhausting attempts);
@@ -449,10 +452,12 @@ def run_tasks(
     batch = _Batch(policy, on_task_error, journal, digest, len(tasks), progress)
     if not tasks:
         return batch.out
-    if workers is None or workers <= 1:
-        _run_serial(tasks, batch)
+    pool_size = min(workers or 1, len(tasks))
+    can_fail_over = policy.max_retries > 0 or policy.timeout is not None
+    if pool_size > 1 or (workers is not None and workers > 1 and can_fail_over):
+        _run_pooled(tasks, pool_size, batch, initializer, initargs)
     else:
-        _run_pooled(tasks, min(workers, len(tasks)), batch, initializer, initargs)
+        _run_serial(tasks, batch)
     if batch.out.quarantined:
         dropped = ", ".join(sorted(batch.out.quarantined))
         warnings.warn(

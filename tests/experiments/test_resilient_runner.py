@@ -16,6 +16,13 @@ from repro.experiments.sweeps import sweep
 from repro.runs import PartialResults, TaskFailedError, load_journal
 from repro.workloads import single_pattern_mix
 
+from .harness_reference import (
+    record_tuples,
+    reference_continuous,
+    reference_individual,
+    reference_sweep,
+)
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -26,20 +33,6 @@ def cfg():
         mix=single_pattern_mix("rd"),
         allocators=("default", "greedy"),
     )
-
-
-def record_tuples(result):
-    return [
-        (
-            r.job.job_id,
-            r.start_time,
-            r.finish_time,
-            r.nodes.tolist(),
-            sorted(r.cost_jobaware.items()),
-            sorted(r.cost_default.items()),
-        )
-        for r in result.records
-    ]
 
 
 def crash_once_worker(cfg, name, jobs):
@@ -62,7 +55,7 @@ class TestContinuousCrashRecovery:
     def test_killed_worker_recovered_bit_identical(
         self, cfg, tmp_path, monkeypatch
     ):
-        serial = continuous_runs(cfg)
+        serial = reference_continuous(cfg)
         monkeypatch.setenv("REPRO_TEST_CRASH_DIR", str(tmp_path))
         monkeypatch.setattr(runner_module, "_continuous_worker", crash_once_worker)
         journal_path = tmp_path / "run.jsonl"
@@ -97,38 +90,95 @@ class TestContinuousCrashRecovery:
 
 
 class TestResilientParity:
-    """With no failures injected, the resilient paths are pure plumbing."""
+    """With no failures injected, retries and the journal are pure plumbing."""
 
     def test_continuous_resilient_equals_serial(self, cfg, tmp_path):
-        serial = continuous_runs(cfg)
+        reference = reference_continuous(cfg)
         resilient = continuous_runs(
             cfg, max_retries=1, journal=tmp_path / "run.jsonl"
         )
-        for name in serial:
-            assert record_tuples(resilient[name]) == record_tuples(serial[name])
+        assert list(resilient) == list(reference)
+        for name in reference:
+            assert record_tuples(resilient[name]) == record_tuples(reference[name])
+        data = load_journal(tmp_path / "run.jsonl")
+        assert data.run_type == "continuous_runs"
+        assert data.missing_keys() == []
 
     def test_individual_resilient_equals_serial(self, cfg, tmp_path):
-        serial = individual_runs(cfg, n_samples=4)
+        sampled, outcomes = reference_individual(cfg, n_samples=4)
         resilient = individual_runs(
             cfg, n_samples=4, max_retries=1, journal=tmp_path / "run.jsonl"
         )
         assert resilient.complete
-        assert resilient.outcomes == serial.outcomes
+        assert resilient.sampled_job_ids == sampled
+        assert resilient.outcomes == outcomes
         data = load_journal(tmp_path / "run.jsonl")
         assert data.run_type == "individual_runs"
         assert data.missing_keys() == []
 
     def test_sweep_resilient_equals_serial(self, tmp_path):
         grid = {"n_jobs": [10, 20], "seed": [1]}
-        serial = sweep(grid, allocators=("default", "greedy"))
+        reference = reference_sweep(grid, allocators=("default", "greedy"))
         resilient = sweep(
             grid,
             allocators=("default", "greedy"),
             max_retries=1,
             journal=tmp_path / "run.jsonl",
         )
-        assert resilient.complete if hasattr(resilient, "complete") else True
-        assert resilient == serial
+        assert resilient == reference
         data = load_journal(tmp_path / "run.jsonl")
         assert data.run_type == "sweep"
         assert len(data.completed_keys()) == 2
+
+
+#: serial, pooled, retrying, journaled
+CONFIG_ERROR_MODES = ["serial", "workers2", "retries", "journal"]
+
+
+def _mode_kwargs(mode, journal_path):
+    return {
+        "serial": {},
+        "workers2": {"workers": 2},
+        "retries": {"max_retries": 1},
+        "journal": {"journal": journal_path},
+    }[mode]
+
+
+def _journal_attempts(path):
+    """Attempt entries of a journal; none when it was never created."""
+    if not path.exists():
+        return []
+    return [a for tries in load_journal(path).attempts.values() for a in tries]
+
+
+class TestConfigErrorsBeforeFanOut:
+    """A bad knob raises its own error once, never as a failed cell."""
+
+    @pytest.mark.parametrize("mode", CONFIG_ERROR_MODES)
+    @pytest.mark.parametrize("harness", ["continuous", "individual"])
+    def test_bad_interrupt_knob_raises_value_error(
+        self, cfg, tmp_path, harness, mode
+    ):
+        bad = cfg.with_(interrupt_policy="checkpoint", checkpoint_interval=-1.0)
+        path = tmp_path / "run.jsonl"
+        run = (
+            continuous_runs
+            if harness == "continuous"
+            else lambda c, **kw: individual_runs(c, n_samples=3, **kw)
+        )
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            run(bad, **_mode_kwargs(mode, path))
+        assert _journal_attempts(path) == []
+
+    @pytest.mark.parametrize("mode", CONFIG_ERROR_MODES)
+    def test_sweep_unknown_allocator_raises_key_error(self, tmp_path, mode):
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(KeyError, match="nosuch"):
+            sweep({"seed": [0, 1]}, allocators=("nosuch",),
+                  defaults={"n_jobs": 10}, **_mode_kwargs(mode, path))
+        assert _journal_attempts(path) == []
+
+    def test_unknown_log_with_explicit_jobs_raises_key_error(self, cfg):
+        jobs = runner_module.prepare_jobs(cfg)
+        with pytest.raises(KeyError, match="unknown log"):
+            continuous_runs(cfg.with_(log="nosuch"), jobs, max_retries=1)

@@ -25,6 +25,10 @@ def _ok(x):
     return x * 2
 
 
+def _pid():
+    return os.getpid()
+
+
 def _fail_always(key):
     raise ValueError(f"{key} never works")
 
@@ -116,6 +120,33 @@ class TestSerial:
         assert data.tasks == {"a": {"n": 1}}
         assert data.attempt_count("a") == 2
         assert data.digests == {"a": "sha256:a-done"}
+
+
+class TestOneWorkerBatch:
+    """A pool that would hold one worker runs in-process, unless the
+    policy can retry or time out: only a process boundary survives a
+    killed or hung cell."""
+
+    def test_plain_one_task_batch_runs_in_process(self):
+        out = run_tasks([TaskSpec("a", _pid)], workers=4)
+        assert out.results == {"a": os.getpid()}
+
+    @pytest.mark.parametrize(
+        "policy",
+        [RetryPolicy(max_retries=1), RetryPolicy(timeout=30.0)],
+        ids=["retries", "timeout"],
+    )
+    def test_failover_policy_keeps_the_process_boundary(self, policy):
+        out = run_tasks([TaskSpec("a", _pid)], workers=4, policy=policy)
+        assert out.results["a"] != os.getpid()
+
+    def test_serial_workers_stay_in_process_with_retries(self):
+        out = run_tasks(
+            [TaskSpec("a", _pid), TaskSpec("b", _pid)],
+            workers=1,
+            policy=RetryPolicy(max_retries=1),
+        )
+        assert out.results == {"a": os.getpid(), "b": os.getpid()}
 
 
 class TestPooled:

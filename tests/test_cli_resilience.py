@@ -160,6 +160,52 @@ class TestQuarantineCli:
         assert "Traceback" not in err
 
 
+class TestFailedCellCli:
+    """A cell that exhausts its attempts is 'ran, but degraded' (exit 1)."""
+
+    def test_simulate_failed_cell_exits_1_without_traceback(
+        self, monkeypatch, capsys
+    ):
+        def boom(cfg, name, jobs):
+            raise RuntimeError(f"{name} cell exploded")
+
+        monkeypatch.setattr(runner_module, "_continuous_worker", boom)
+        code = main(SMALL + ["--max-retries", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: task 'default' failed after 2 attempt(s)" in err
+        assert "cell exploded" in err
+        assert "Traceback" not in err
+
+    def test_sweep_failed_cell_exits_1_without_traceback(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import sweeps as sweeps_module
+
+        def boom(cfg):
+            raise RuntimeError("point exploded")
+
+        monkeypatch.setattr(sweeps_module, "_sweep_point_worker", boom)
+        code = main(["sweep", "--param", "seed=0", "--default", "n_jobs=10",
+                     "--allocators", "default"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: task 'seed=0' failed after 1 attempt(s)" in err
+        assert "Traceback" not in err
+
+    def test_config_error_is_not_retried(self, capsys):
+        code = main(
+            ["simulate", "--jobs", "5", "--allocator", "balanced",
+             "--interrupt-policy", "checkpoint", "--checkpoint-interval", "-1",
+             "--max-retries", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: checkpoint_interval must be > 0, got -1.0"
+        ]
+
+
 class TestInterrupt:
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
