@@ -1,6 +1,7 @@
-"""Write a ``BENCH_PR1.json`` / ``BENCH_PR4.json`` / ``BENCH_PR9.json`` snapshot.
+"""Write a ``BENCH_PR1.json`` / ``BENCH_PR4.json`` / ``BENCH_PR9.json`` /
+``BENCH_PR16.json`` snapshot.
 
-Three modes:
+Four modes:
 
 * default — the PR 1 micro snapshot: hot paths of a continuous run (one
   Eq. 6 cost evaluation and one allocation decision per job start) on
@@ -14,6 +15,13 @@ Three modes:
   file's ``legacy`` section and speedup criterion (the pre-change
   engine PR 4 replaced) are history: that engine no longer exists to
   re-measure.
+* ``--leafpair-build [output.json]`` — the Eq. 6 leaf-pair build
+  micro-bench: the generic build (dedup over every rank pair) against
+  the run-sampled build (one rank per leaf-run interval) on random
+  unsorted rank→leaf maps of the Mira shape, per rank count and run
+  count. Its ratios place the ``_SAMPLED_MIN_RANKS`` crossover in
+  :mod:`repro.cost.leafpair`. Writes the ``build_micro`` section of
+  ``BENCH_PR16.json``, keeping the file's other sections.
 * ``--ladder`` — the PR 9 scale ladder: 100k/1M/10M-job rungs, each run
   in a *fresh subprocess* so peak RSS (a process-lifetime high-water
   mark) is the rung's own. Streaming rungs feed the engine from
@@ -34,6 +42,7 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py [output.json]
     PYTHONPATH=src python benchmarks/run_bench.py --e2e [n_jobs] [output.json]
     PYTHONPATH=src python benchmarks/run_bench.py --ladder [output.json]
+    PYTHONPATH=src python benchmarks/run_bench.py --leafpair-build [output.json]
 
 Timings are medians over several repeats of best-effort wall-clock
 loops (single-shot for the e2e replay and the ladder rungs); treat them
@@ -54,7 +63,8 @@ import numpy as np
 from repro.allocation import get_allocator
 from repro.runs import atomic_write_text
 from repro.cluster import ClusterState, CommComponent, Job, JobKind
-from repro.cost import CostModel, clear_leaf_pair_cache
+from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
+from repro.cost.model import _cached_steps
 from repro.patterns import RecursiveDoubling, RecursiveHalvingVectorDoubling
 from repro.topology import mira_like
 
@@ -62,6 +72,10 @@ JOB_NODES = 16384
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR1.json"
 DEFAULT_E2E_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR4.json"
 DEFAULT_LADDER_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR9.json"
+DEFAULT_BUILD_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_PR16.json"
+BUILD_RANKS = (256, 512, 1024, 2048, 16384)
+BUILD_RUNS = (4, 16, 136)
+BUILD_LAYOUTS = 5
 E2E_JOBS = 100_000
 E2E_SMOKE_JOBS = 2_000
 
@@ -443,7 +457,72 @@ def main_ladder(argv) -> int:
     return 0
 
 
+def random_leaf_layout(rng, nranks: int, runs: int, n_leaves: int) -> np.ndarray:
+    """A rank→leaf map of ``runs`` stretches (random cuts, random leaves,
+    unsorted; neighbouring stretches may share a leaf and merge)."""
+    cuts = np.sort(rng.choice(np.arange(1, nranks), size=runs - 1, replace=False))
+    lengths = np.diff(np.concatenate(([0], cuts, [nranks])))
+    return np.repeat(rng.integers(0, n_leaves, size=runs), lengths)
+
+
+def leafpair_build_section() -> dict:
+    """Median seconds of the generic and run-sampled leaf-pair builds."""
+    n_leaves = mira_like().n_leaves
+    pattern = RecursiveDoubling()
+    rng = np.random.default_rng(0)
+    rows = []
+    for nranks in BUILD_RANKS:
+        steps = _cached_steps(pattern, nranks)
+        pairs = leafpair._step_plan(pattern, steps, nranks, False)
+        dists = leafpair._xor_distances(steps, nranks)
+        ranks = np.arange(nranks)
+        for runs in BUILD_RUNS:
+            generic, sampled = [], []
+            for _ in range(BUILD_LAYOUTS):
+                la = random_leaf_layout(rng, nranks, runs, n_leaves)
+                starts = np.flatnonzero(la[1:] != la[:-1]) + 1
+                generic.append(timeit(lambda: leafpair._generic_build(
+                    pairs, la, n_leaves, ranks, True), repeats=3))
+                sampled.append(timeit(lambda: leafpair._sampled_build(
+                    dists, la, starts, n_leaves), repeats=3))
+            row = {
+                "nranks": nranks,
+                "runs": runs,
+                "generic_s": statistics.median(generic),
+                "sampled_s": statistics.median(sampled),
+            }
+            row["speedup"] = row["generic_s"] / row["sampled_s"]
+            rows.append(row)
+            print(f"  {nranks:6d} ranks {runs:4d} runs: generic "
+                  f"{row['generic_s'] * 1e3:7.3f} ms, sampled "
+                  f"{row['sampled_s'] * 1e3:7.3f} ms, x{row['speedup']:.2f}",
+                  flush=True)
+    return {
+        "pattern": "rd",
+        "topology": "mira_like",
+        "layouts_per_cell": BUILD_LAYOUTS,
+        "crossover_ranks": leafpair._SAMPLED_MIN_RANKS,
+        "machine": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "rows": rows,
+    }
+
+
+def main_leafpair_build(argv) -> int:
+    out_path = Path(argv[2]) if len(argv) > 2 else DEFAULT_BUILD_OUTPUT
+    print("Eq. 6 leaf-pair build: generic vs run-sampled ...")
+    snapshot = json.loads(out_path.read_text()) if out_path.exists() else {}
+    snapshot["build_micro"] = leafpair_build_section()
+    atomic_write_text(out_path, json.dumps(snapshot, indent=2) + "\n")
+    print(f"wrote {out_path}")
+    return 0
+
+
 def main(argv) -> int:
+    if len(argv) > 1 and argv[1] == "--leafpair-build":
+        return main_leafpair_build(argv)
     if len(argv) > 1 and argv[1] == "--e2e":
         return main_e2e(argv)
     if len(argv) > 1 and argv[1] == "--ladder-rung":

@@ -11,9 +11,12 @@ Mira scale (136 leaves → at most 9k canonical leaf pairs).
 Two layers make repeated evaluations cheap:
 
 * the rank-pair → unique-leaf-pair reduction is state-independent, so it
-  is cached per ``(pattern, nranks, leaf assignment)``
-  (:func:`leaf_pair_steps`) — the adaptive allocator and the engine
-  price the same allocation several times per job start;
+  is cached per ``(pattern, nranks, leaf runs)`` — the adaptive
+  allocator and the engine price the same allocation several times per
+  job start. Its build samples one rank per constant stretch of the
+  rank→leaf map for the XOR-exchange patterns at large power-of-two
+  sizes (:func:`_sampled_build`), and dedups every rank pair otherwise
+  (:func:`_generic_build`); both give the same arrays;
 * the per-leaf contention-share vector and finished Eq. 6 totals are
   cached on the state against its version counter
   (:meth:`repro.cluster.state.ClusterState.leaf_comm_share` /
@@ -28,162 +31,168 @@ tests assert equality, not closeness.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..patterns.base import CommunicationPattern
 from .contention import ContentionModel
 
-__all__ = ["leaf_pair_steps", "leaf_pair_cost", "clear_leaf_pair_cache"]
+__all__ = ["leaf_pair_cost", "clear_leaf_pair_cache"]
 
-#: cached (pattern, nranks, leaf-assignment) -> per-step unique leaf pairs
-_LEAF_STEP_CACHE: "OrderedDict[Tuple, List[Optional[Tuple[np.ndarray, np.ndarray]]]]" = (
-    OrderedDict()
-)
-_LEAF_STEP_CACHE_MAX = 128
-
-#: cached flattened form of the same reduction: all steps' leaf pairs in
-#: one segmented array pair, for a single vectorized evaluation. Keys
-#: embed the leaf assignment, so distinct placements never collide —
-#: but that same cardinality means a long trace touches tens of
-#: thousands of keys, and a small cap thrashes. Entries are a few KB
-#: (segment arrays over at most min(P, L^2) leaf pairs), so a much
-#: larger cap than the per-step cache costs tens of MB, not more.
+#: cached (pattern, nranks, leaf runs[, node ids]) -> the flat reduction
+#: of :func:`_leaf_pair_flat`. An allocation's key holds its run
+#: boundaries and run leaves — a few hundred bytes even at 16,384
+#: ranks, where the whole rank→leaf map would be 128 KB. Values hold at
+#: most one entry per (step, leaf pair) actually used, typically a few
+#: KB. Long traces touch tens of thousands of layouts, so the cap is
+#: large.
 _LEAF_FLAT_CACHE: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
 _LEAF_FLAT_CACHE_MAX = 8192
 
-#: cached (pattern, nranks) -> concatenated inter-rank pairs of every
-#: step (rank-equal pairs dropped), with a step id per pair — the
-#: state-independent half of the flat reduction's build
-_PATTERN_PAIRS_CACHE: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
+#: cached (pattern, nranks, sampled) -> step plan: per-step XOR
+#: distances for the run-sampled build, or every step's inter-rank
+#: pairs concatenated with a step id per pair for the generic build
+_STEP_PLAN_CACHE: "OrderedDict[Tuple, Optional[Union[np.ndarray, Tuple]]]" = (
+    OrderedDict()
+)
+_STEP_PLAN_CACHE_MAX = 128
 
-#: above this many leaf-pair slots, unique-finding falls back from a
-#: dense boolean scatter (O(P + L²)) to sort-based np.unique (O(P log P))
-_DENSE_UNIQUE_LIMIT = 4_000_000
+#: smallest allocation the run-sampled build prices. It costs a fixed
+#: numpy overhead plus O(steps · runs log runs), the generic build
+#: O(P log P); at the few runs real allocations have, the sampled build
+#: loses at 512 ranks and wins from 1,024 (build micro-bench:
+#: ``benchmarks/run_bench.py --leafpair-build``).
+_SAMPLED_MIN_RANKS = 1024
 
 
 def clear_leaf_pair_cache() -> None:
     """Drop all cached leaf-pair reductions (tests and cold benchmarks)."""
-    _LEAF_STEP_CACHE.clear()
     _LEAF_FLAT_CACHE.clear()
-    _PATTERN_PAIRS_CACHE.clear()
+    _STEP_PLAN_CACHE.clear()
 
 
-def _unique_leaf_pairs(
-    la: np.ndarray, lb: np.ndarray, n_leaves: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Canonical (lo <= hi) unique leaf pairs among ``(la, lb)``."""
-    lo = np.minimum(la, lb)
-    hi = np.maximum(la, lb)
-    codes = lo * n_leaves + hi
+def _xor_distances(steps: Tuple, nranks: int) -> Optional[np.ndarray]:
+    """Per-step distances ``d`` when every step pairs exactly
+    ``{(r, r ^ d) : r & d == 0}`` with ``d`` a power of two, else ``None``."""
+    if nranks < 2 or nranks & (nranks - 1):
+        return None
+    ranks = np.arange(nranks, dtype=np.int64)
+    dists = []
+    for step in steps:
+        d = int(step.pairs[0, 1] - step.pairs[0, 0]) if step.n_pairs else 0
+        if d <= 0 or d & (d - 1):
+            return None
+        low = ranks[(ranks & d) == 0]
+        if not np.array_equal(step.pairs, np.column_stack((low, low + d))):
+            return None
+        dists.append(d)
+    return np.asarray(dists, dtype=np.int64)
+
+
+def _step_plan(
+    pattern: CommunicationPattern, steps: Tuple, nranks: int, sampled: bool
+) -> Optional[Union[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """State- and layout-independent half of the flat build.
+
+    With ``sampled``, the per-step XOR distances when the pattern has
+    that shape; otherwise all steps' inter-rank pairs concatenated,
+    ``(src, dst, step id)``, or ``None`` when no step has one. Cached
+    per ``(pattern, nranks, sampled)`` and shared by every allocation.
+    """
+    key = (pattern, nranks, sampled)
+    cached = _STEP_PLAN_CACHE.get(key, _STEP_PLAN_CACHE)
+    if cached is not _STEP_PLAN_CACHE:
+        _STEP_PLAN_CACHE.move_to_end(key)
+        return cached
+    plan = _xor_distances(steps, nranks) if sampled else None
+    if plan is None:
+        pairs = [st.pairs[st.pairs[:, 0] != st.pairs[:, 1]] for st in steps]
+        counts = [len(p) for p in pairs]
+        if any(counts):
+            plan = (
+                np.concatenate([p[:, 0] for p in pairs]),
+                np.concatenate([p[:, 1] for p in pairs]),
+                np.repeat(np.arange(len(pairs), dtype=np.int64), counts),
+            )
+    if len(_STEP_PLAN_CACHE) >= _STEP_PLAN_CACHE_MAX:
+        _STEP_PLAN_CACHE.popitem(last=False)
+    _STEP_PLAN_CACHE[key] = plan
+    return plan
+
+
+def _dedup(
+    la: np.ndarray, lb: np.ndarray, sid: np.ndarray, n_leaves: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]]:
+    """Unique canonical ``(step, lo leaf, hi leaf)`` triples, grouped by
+    step in the flat form; ``None`` when there are none.
+
+    Sort plus neighbour compare gives ``np.unique``'s sorted values;
+    numpy ≥ 2.3's hash-based ``np.unique`` is several times slower here.
+    """
+    if la.size == 0:
+        return None
     n_codes = n_leaves * n_leaves
-    if n_codes <= _DENSE_UNIQUE_LIMIT:
-        seen = np.zeros(n_codes, dtype=bool)
-        seen[codes] = True
-        ucodes = np.flatnonzero(seen)
-    else:
-        ucodes = np.unique(codes)
-    return ucodes // n_leaves, ucodes % n_leaves
+    codes = np.sort(
+        sid * n_codes + np.minimum(la, lb) * n_leaves + np.maximum(la, lb)
+    )
+    ucodes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    step_of = ucodes // n_codes
+    rem = ucodes - step_of * n_codes
+    offsets = np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.flatnonzero(np.diff(step_of)) + 1)
+    )
+    return rem // n_leaves, rem % n_leaves, offsets, tuple(step_of[offsets].tolist())
 
 
-def leaf_pair_steps(
-    pattern: CommunicationPattern,
-    steps: Tuple,
-    node_arr: np.ndarray,
+def _generic_build(
+    plan: Tuple[np.ndarray, np.ndarray, np.ndarray],
     leaf_assign: np.ndarray,
     n_leaves: int,
+    node_arr: np.ndarray,
     unique_nodes: bool,
-) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-    """Per-step unique leaf pairs of ``pattern`` under a rank→node map.
+) -> Optional[Tuple]:
+    """Flat reduction from every rank pair of ``plan``: O(P log P).
 
-    ``node_arr[r]`` / ``leaf_assign[r]`` are the node id / leaf index
-    serving rank ``r``. The mapping is state-independent, so results are
-    cached — per ``(pattern, nranks, leaf assignment)`` when the node
-    ids are unique (allocations), or per ``(pattern, nranks, node
-    assignment)`` when ranks share nodes (``srun``-style layouts, where
-    leaf identity alone cannot tell an intra-node pair from an
-    intra-leaf one). Intra-node pairs (zero hops) are dropped here; a
-    step entry is ``None`` when the step has no pairs at all, and holds
-    empty arrays when every pair was intra-node.
+    Layouts that repeat node ids also drop the pairs whose two ranks
+    share a node (intra-node, cost 0).
     """
-    if unique_nodes:
-        key = (pattern, leaf_assign.size, True, leaf_assign.tobytes())
-    else:
-        key = (pattern, node_arr.size, False, node_arr.tobytes())
-    cached = _LEAF_STEP_CACHE.get(key)
-    if cached is not None:
-        _LEAF_STEP_CACHE.move_to_end(key)
-        return cached
-    per_step: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    for step in steps:
-        if step.n_pairs == 0:
-            per_step.append(None)
-            continue
-        pairs = step.pairs
-        if unique_nodes:
-            # distinct ranks <=> distinct nodes
-            keep = pairs[:, 0] != pairs[:, 1]
-        else:
-            keep = node_arr[pairs[:, 0]] != node_arr[pairs[:, 1]]
-        if not keep.all():
-            pairs = pairs[keep]
-        if pairs.shape[0] == 0:
-            per_step.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            )
-            continue
-        la = leaf_assign[pairs[:, 0]]
-        lb = leaf_assign[pairs[:, 1]]
-        per_step.append(_unique_leaf_pairs(la, lb, n_leaves))
-    if len(_LEAF_STEP_CACHE) >= _LEAF_STEP_CACHE_MAX:
-        _LEAF_STEP_CACHE.popitem(last=False)
-    _LEAF_STEP_CACHE[key] = per_step
-    return per_step
+    src, dst, sid = plan
+    if not unique_nodes:
+        keep = node_arr[src] != node_arr[dst]
+        src, dst, sid = src[keep], dst[keep], sid[keep]
+    return _dedup(leaf_assign[src], leaf_assign[dst], sid, n_leaves)
 
 
-def _pattern_pairs(
-    pattern: CommunicationPattern, steps: Tuple, nranks: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """All steps' inter-rank pairs concatenated: ``(src, dst, step id)``.
+def _sampled_build(
+    dists: np.ndarray, leaf_assign: np.ndarray, starts: np.ndarray, n_leaves: int
+) -> Optional[Tuple]:
+    """Flat reduction of XOR steps from the run starts:
+    O(steps · runs log runs).
 
-    State-independent and leaf-assignment-independent (for unique-node
-    allocations rank inequality is node inequality), so it is cached per
-    ``(pattern, nranks)`` and shared by every allocation of that size.
-    ``None`` when no step carries an inter-rank pair.
+    At distance ``d``, ``leaf(r)`` and ``leaf(r + d)`` are both constant
+    between consecutive breakpoints ``{0} ∪ starts ∪ (starts − d)``, so
+    one rank with ``r & d == 0`` per interval (the first, when the
+    interval holds one) yields every leaf pair the step has. All steps
+    are sampled at once as rows of an ``(S, 2·runs + 1)`` array.
     """
-    key = (pattern, nranks)
-    cached = _PATTERN_PAIRS_CACHE.get(key, _PATTERN_PAIRS_CACHE)
-    if cached is not _PATTERN_PAIRS_CACHE:
-        _PATTERN_PAIRS_CACHE.move_to_end(key)
-        return cached
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    sid_parts: List[np.ndarray] = []
-    for i, step in enumerate(steps):
-        if step.n_pairs == 0:
-            continue
-        pairs = step.pairs
-        keep = pairs[:, 0] != pairs[:, 1]
-        if not keep.all():
-            pairs = pairs[keep]
-        if pairs.shape[0] == 0:
-            continue
-        src_parts.append(pairs[:, 0].astype(np.int64))
-        dst_parts.append(pairs[:, 1].astype(np.int64))
-        sid_parts.append(np.full(pairs.shape[0], i, dtype=np.int64))
-    if src_parts:
-        result = (
-            np.concatenate(src_parts),
-            np.concatenate(dst_parts),
-            np.concatenate(sid_parts),
-        )
-    else:
-        result = None
-    if len(_PATTERN_PAIRS_CACHE) >= _LEAF_STEP_CACHE_MAX:
-        _PATTERN_PAIRS_CACHE.popitem(last=False)
-    _PATTERN_PAIRS_CACHE[key] = result
-    return result
+    d = dists[:, None]
+    bp = np.concatenate(
+        (
+            np.zeros_like(d),
+            np.broadcast_to(starts, (d.shape[0], starts.size)),
+            np.maximum(starts - d, 0),
+        ),
+        axis=1,
+    )
+    bp.sort(axis=1)
+    nxt = np.concatenate((bp[:, 1:], np.full_like(d, leaf_assign.size)), axis=1)
+    first = np.where(bp & d, (bp | (d - 1)) + 1, bp)
+    ok = first < nxt
+    sid = np.repeat(np.arange(dists.size), ok.sum(axis=1))
+    return _dedup(
+        leaf_assign[first[ok]], leaf_assign[(first + d)[ok]], sid, n_leaves
+    )
 
 
 def _leaf_pair_flat(
@@ -200,77 +209,40 @@ def _leaf_pair_flat(
     of a few dozen pairs — call overhead, not arithmetic, dominates.
     Flattening every non-empty step into one pair array lets the whole
     cost evaluate in a single batch with a ``maximum.reduceat``
-    per-segment max. Returns ``None`` when no step
-    carries an inter-node pair (cost 0). Cached like the per-step form.
+    per-segment max. Returns ``None`` when no step carries an
+    inter-node pair (cost 0).
 
-    For unique-node allocations the build itself is one vectorized
-    dedup over ``(step, leaf pair)`` codes instead of a per-step loop;
-    rank layouts with repeated nodes fall back to concatenating the
-    per-step reduction.
+    The result depends only on the leaf runs (for layouts that repeat
+    node ids, also on which ranks share a node), so it is cached under
+    them. Unique-node allocations of at least ``_SAMPLED_MIN_RANKS``
+    XOR-exchange ranks take the run-sampled build; everything else the
+    generic one.
     """
-    if unique_nodes:
-        key = (pattern, leaf_assign.size, True, leaf_assign.tobytes())
-    else:
-        key = (pattern, node_arr.size, False, node_arr.tobytes())
+    nranks = leaf_assign.size
+    # last rank of every run but the final one, with each run's leaf
+    ends = np.flatnonzero(leaf_assign[1:] != leaf_assign[:-1])
+    key: Tuple = (
+        pattern,
+        nranks,
+        ends.tobytes(),
+        leaf_assign[ends].tobytes(),
+        int(leaf_assign[-1]),
+    )
+    if not unique_nodes:
+        key += (node_arr.tobytes(),)
     cached = _LEAF_FLAT_CACHE.get(key, _LEAF_FLAT_CACHE)
     if cached is not _LEAF_FLAT_CACHE:
         _LEAF_FLAT_CACHE.move_to_end(key)
         return cached
-    n_codes = n_leaves * n_leaves
-    flat: Optional[Tuple]
-    if unique_nodes:
-        pp = _pattern_pairs(pattern, steps, leaf_assign.size)
-        if pp is None:
-            flat = None
-        else:
-            src, dst, sid = pp
-            la = leaf_assign[src]
-            lb = leaf_assign[dst]
-            lo = np.minimum(la, lb)
-            hi = np.maximum(la, lb)
-            # sort-based dedup over (step, leaf-pair) codes: same sorted
-            # unique codes a dense boolean scatter would produce, but
-            # O(pairs log pairs) instead of O(steps * n_leaves^2) — the
-            # dense array dominated build time on wide topologies
-            ucodes = np.unique(sid * n_codes + lo * n_leaves + hi)
-            step_of = ucodes // n_codes
-            rem = ucodes - step_of * n_codes
-            boundaries = np.flatnonzero(np.diff(step_of)) + 1
-            offsets = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            flat = (
-                rem // n_leaves,
-                rem % n_leaves,
-                offsets,
-                tuple(int(s) for s in step_of[offsets]),
-            )
+    plan = _step_plan(
+        pattern, steps, nranks, unique_nodes and nranks >= _SAMPLED_MIN_RANKS
+    )
+    if plan is None:
+        flat = None
+    elif isinstance(plan, np.ndarray):
+        flat = _sampled_build(plan, leaf_assign, ends + 1, n_leaves)
     else:
-        per_step = leaf_pair_steps(
-            pattern, steps, node_arr, leaf_assign, n_leaves, unique_nodes
-        )
-        la_parts: List[np.ndarray] = []
-        lb_parts: List[np.ndarray] = []
-        seg_idx: List[int] = []
-        offs: List[int] = []
-        pos = 0
-        for i, meta in enumerate(per_step):
-            if meta is None or meta[0].size == 0:
-                continue
-            la_parts.append(meta[0])
-            lb_parts.append(meta[1])
-            seg_idx.append(i)
-            offs.append(pos)
-            pos += meta[0].size
-        if not la_parts:
-            flat = None
-        else:
-            flat = (
-                np.concatenate(la_parts),
-                np.concatenate(lb_parts),
-                np.asarray(offs, dtype=np.int64),
-                tuple(seg_idx),
-            )
+        flat = _generic_build(plan, leaf_assign, n_leaves, node_arr, unique_nodes)
     if len(_LEAF_FLAT_CACHE) >= _LEAF_FLAT_CACHE_MAX:
         _LEAF_FLAT_CACHE.popitem(last=False)
     _LEAF_FLAT_CACHE[key] = flat

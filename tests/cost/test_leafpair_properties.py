@@ -8,16 +8,18 @@ every assertion here is ``==``, never ``approx``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterState, JobKind
-from repro.cost import CostModel, clear_leaf_pair_cache
+from repro.allocation import get_allocator
+from repro.cluster import ClusterState, CommComponent, Job, JobKind
+from repro.cost import CostModel, clear_leaf_pair_cache, leafpair
 from repro.cost.contention import ContentionModel
 from repro.cost.hops import effective_hops_scalar
 from repro.cost.model import _cached_steps
 from repro.patterns import get_pattern, pattern_names
-from repro.topology import tree_from_leaf_sizes
+from repro.topology import mira_like, tree_from_leaf_sizes
 from repro.topology.random import random_tree
 
 #: the paper's model plus §7 generalizations, including per-level decay
@@ -188,3 +190,140 @@ def test_layout_and_leaf_cache_keys_do_not_collide(state, pattern_name, data):
     assert model.allocation_cost(state, alloc, pattern) == (
         model.allocation_cost_pairwise(state, alloc, pattern)
     )
+    # run-length keys: equal run starts over different run leaves, and
+    # equal run leaves over different run starts, are distinct layouts
+    topo = state.topology
+    a, b = topo.leaf_nodes(0), topo.leaf_nodes(1)
+    same_starts = ([a[0], a[1], b[0]], [b[0], b[1], a[0]])
+    same_leaves = ([a[0], b[0], b[1]], [a[0], a[1], b[0]])
+    for first, second in (same_starts, same_leaves):
+        clear_leaf_pair_cache()
+        for nodes in (first, second):
+            nodes = np.asarray(nodes, dtype=np.int64)
+            assert model.allocation_cost(state, nodes, pattern) == (
+                model.allocation_cost_pairwise(state, nodes, pattern)
+            )
+
+
+# ----------------------------------------------------------------------
+# run-sampled build (XOR-exchange patterns) against the generic build
+# ----------------------------------------------------------------------
+
+#: leaves of the Mira shape, the largest the ledger prices
+MIRA_LEAVES = 136
+
+
+@st.composite
+def run_layouts(draw):
+    """A power-of-two rank→leaf map of 1–136 leaf runs, on both sides of
+    the sampled build's crossover, with the runs in leaf order or not."""
+    nranks = 1 << draw(st.integers(min_value=1, max_value=14))
+    runs = draw(st.integers(min_value=1, max_value=min(136, nranks)))
+    cuts = sorted(draw(st.sets(
+        st.integers(min_value=1, max_value=nranks - 1),
+        min_size=runs - 1, max_size=runs - 1,
+    )))
+    leaves = draw(st.lists(
+        st.integers(min_value=0, max_value=MIRA_LEAVES - 1),
+        min_size=runs, max_size=runs,
+    ))
+    if draw(st.booleans()):
+        leaves.sort()
+    lengths = np.diff([0] + cuts + [nranks])
+    return np.repeat(np.asarray(leaves, dtype=np.int64), lengths)
+
+
+def assert_same_flat(got, want):
+    """``(ula, ulb, offsets)`` equal in dtype and elements, same steps."""
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[3] == want[3]
+
+
+@given(st.sampled_from(["rd", "rhvd"]), run_layouts())
+@settings(max_examples=150, deadline=None)
+def test_sampled_build_equals_generic_build(pattern_name, leaf_assign):
+    nranks = leaf_assign.size
+    pattern = get_pattern(pattern_name)
+    steps = _cached_steps(pattern, nranks)
+    ranks = np.arange(nranks, dtype=np.int64)
+    clear_leaf_pair_cache()
+    dists = leafpair._step_plan(pattern, steps, nranks, True)
+    pairs = leafpair._step_plan(pattern, steps, nranks, False)
+    assert isinstance(dists, np.ndarray) and isinstance(pairs, tuple)
+    starts = np.flatnonzero(np.diff(leaf_assign)) + 1
+    generic = leafpair._generic_build(pairs, leaf_assign, MIRA_LEAVES, ranks, True)
+    assert_same_flat(
+        leafpair._sampled_build(dists, leaf_assign, starts, MIRA_LEAVES), generic
+    )
+    # the cached dispatcher picks a build by size and returns the same
+    assert_same_flat(
+        leafpair._leaf_pair_flat(
+            pattern, steps, ranks, leaf_assign, MIRA_LEAVES, True
+        ),
+        generic,
+    )
+
+
+@given(
+    st.sampled_from(pattern_names()),
+    st.integers(min_value=3, max_value=16384),
+)
+@settings(max_examples=60, deadline=None)
+def test_only_power_of_two_xor_plans_are_sampled(pattern_name, nranks):
+    """(At two ranks every pattern is one XOR step, so sizes start at 3.)"""
+    if pattern_name == "alltoall":
+        nranks = min(nranks, 64)  # P - 1 steps of P/2 pairs each
+    pattern = get_pattern(pattern_name)
+    clear_leaf_pair_cache()
+    plan = leafpair._step_plan(
+        pattern, _cached_steps(pattern, nranks), nranks, True
+    )
+    xor = pattern_name in ("rd", "rhvd") and nranks & (nranks - 1) == 0
+    assert isinstance(plan, np.ndarray) == xor
+    assert isinstance(plan, tuple) == (not xor)
+
+
+@pytest.fixture(scope="module")
+def mira_background():
+    """The Mira shape with 40% of its nodes held by comm and compute jobs."""
+    state = ClusterState(mira_like())
+    rng = np.random.default_rng(16)
+    busy = rng.choice(state.topology.n_nodes, size=19584, replace=False)
+    state.allocate(9001, busy[:9792], JobKind.COMM)
+    state.allocate(9002, busy[9792:], JobKind.COMPUTE)
+    return state
+
+
+@pytest.mark.parametrize(
+    "allocator, nranks, pattern_name",
+    [
+        ("balanced", 2048, "rhvd"),
+        ("greedy", 4096, "rd"),
+        ("default", 8192, "rhvd"),
+        ("balanced", 16384, "rd"),
+        ("greedy", 16384, "rhvd"),
+    ],
+)
+def test_kernel_matches_pairwise_on_mira_allocations(
+    mira_background, allocator, nranks, pattern_name
+):
+    """Mira-scale allocations, priced through the sampled build, equal
+    the per-node-pair evaluation, which shares no reduction code."""
+    pattern = get_pattern(pattern_name)
+    job = Job(1, 0.0, nranks, 3600.0, JobKind.COMM, (CommComponent(pattern, 0.7),))
+    state = mira_background.copy()
+    nodes = get_allocator(allocator).allocate(state, job)
+    state.allocate(1, nodes, JobKind.COMM)
+    model = CostModel()
+    clear_leaf_pair_cache()
+    cost = model.allocation_cost(state, nodes, pattern)
+    assert cost == model.allocation_cost_pairwise(state, nodes, pattern)
+    # a shuffled order of the same nodes: many more, unsorted runs; and
+    # two ranks per node, which keeps the generic build at this size
+    shuffled = np.random.default_rng(nranks).permutation(nodes)
+    doubled = np.repeat(nodes[: nranks // 2], 2)
+    for layout in (shuffled, doubled):
+        assert model.allocation_cost(state, layout, pattern) == (
+            model.allocation_cost_pairwise(state, layout, pattern)
+        )
